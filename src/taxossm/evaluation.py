@@ -5,14 +5,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import numcore as nc
 from . import ssm
-from .errors import ConfigError, ContractError, DegenerateVarianceError
+from .errors import ConfigError, ContractError, DegenerateVarianceError, EmptyDatasetError
 from .records import BarcodeRecord, N_RANKS, RANKS, TaxonomicLabel
 from .taxonomy import Taxonomy, lift_species_probs
 from .tokenizers import Vocab, encode
@@ -204,42 +203,107 @@ def paired_t_test(a, b) -> TTestResult:
 
 @dataclass
 class BestHitIndex:
+    """Exact k-mer posting lists over the training sequences.
+
+    Each k-mer is packed into a uint64 code of `bits` bits per letter, letters
+    ranked in the sorted reference alphabet (`alphabet`, code points). `codes`
+    is sorted; `ref_ids` and `counts` run parallel to it, one posting per
+    (k-mer, reference) pair with the k-mer's multiplicity in that reference.
+    """
     k: int
-    fingerprints: list[Counter]
+    bits: int
+    alphabet: np.ndarray
+    codes: np.ndarray
+    ref_ids: np.ndarray
+    counts: np.ndarray
     labels: list[TaxonomicLabel]
     low_confidence_threshold: float = 0.1
 
 
-def _kmer_multiset(sequence: str, k: int) -> Counter:
-    return Counter(sequence[i:i + k] for i in range(len(sequence) - k + 1))
+def _code_points(sequence: str) -> np.ndarray:
+    return np.frombuffer(sequence.encode("utf-32-le"), dtype=np.uint32)
+
+
+def _pack_windows(ranks: np.ndarray, k: int, bits: int) -> np.ndarray:
+    """Packed uint64 code of every length-k window of `ranks`, in window order."""
+    n = max(ranks.size - k + 1, 0)
+    codes = np.zeros(n, dtype=np.uint64)
+    shift = np.uint64(bits)
+    for j in range(k):
+        codes <<= shift
+        codes |= ranks[j:j + n]
+    return codes
 
 
 def besthit_train(records: list[BarcodeRecord], k: int = 8) -> BestHitIndex:
-    """Store one k-mer multiset fingerprint per training sequence."""
+    """Index the multiset of k-mers of every training sequence as posting lists."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    if not records:
+        raise EmptyDatasetError("best-hit needs at least one reference sequence")
+    points = _code_points("".join(r.sequence for r in records))
+    present = np.zeros(int(points.max(initial=0)) + 1, dtype=bool)
+    present[points] = True
+    alphabet = np.flatnonzero(present).astype(np.uint32)
+    bits = (alphabet.size - 1).bit_length()  # ceil(log2 |alphabet|)
+    if k * bits > 64:
+        raise ConfigError(
+            f"k = {k} with an alphabet of {alphabet.size} letters needs {k * bits} bits "
+            f"per k-mer; at most 64 fit, so k must be <= {64 // bits}"
+        )
+    rank_of = (np.cumsum(present) - 1).astype(np.uint64)
+    codes = _pack_windows(rank_of[points], k, bits)
+    n_refs = len(records)
+    lengths = np.array([len(r.sequence) for r in records], dtype=np.int64)
+    owner = np.repeat(np.arange(n_refs, dtype=np.int32), lengths)
+    # a window is a k-mer of one reference iff its first and last letters share an owner
+    inside = owner[:codes.size] == owner[k - 1:]
+    codes, owner = codes[inside], owner[:codes.size][inside]
+    # keyed by (rank among distinct k-mers) * n_refs + reference, one sort orders
+    # the postings by k-mer, then reference, and counts each pair's multiplicity
+    distinct, pairs = np.unique(codes, return_inverse=True)
+    pairs *= n_refs
+    pairs += owner
+    pairs, counts = np.unique(pairs, return_counts=True)
     return BestHitIndex(
         k=k,
-        fingerprints=[_kmer_multiset(r.sequence, k) for r in records],
+        bits=bits,
+        alphabet=alphabet,
+        codes=distinct[pairs // n_refs],
+        ref_ids=(pairs % n_refs).astype(np.int32),
+        counts=counts.astype(np.int32),
         labels=[r.label for r in records],
     )
 
 
 def besthit_similarity(index: BestHitIndex, sequence: str) -> tuple[int, float]:
-    """(best index, containment similarity |Q n S| / |Q|); ties keep the first index."""
-    if len(sequence) < index.k:
+    """(best index, containment similarity |Q n S| / |Q|); ties keep the first index.
+
+    Q and S are k-mer multisets. A query window holding a letter no reference
+    contains counts in |Q| and matches nothing.
+    """
+    k = index.k
+    if len(sequence) < k:
         raise ConfigError(
-            f"query of length {len(sequence)} is shorter than k = {index.k}"
+            f"query of length {len(sequence)} is shorter than k = {k}"
         )
-    query = _kmer_multiset(sequence, index.k)
-    q_size = sum(query.values())
-    best_i, best_sim = 0, -1.0
-    for i, fp in enumerate(index.fingerprints):
-        inter = sum(min(cnt, fp[kmer]) for kmer, cnt in query.items())
-        sim = inter / q_size
-        if sim > best_sim:
-            best_i, best_sim = i, sim
-    return best_i, best_sim
+    q_size = len(sequence) - k + 1
+    points = _code_points(sequence)
+    ranks = np.searchsorted(index.alphabet, points).astype(np.uint64)
+    unknown_before = np.concatenate(([0], np.cumsum(~np.isin(points, index.alphabet))))
+    matchable = unknown_before[k:] == unknown_before[:q_size]
+    codes = _pack_windows(ranks, k, index.bits)[matchable]
+    q_codes, q_counts = np.unique(codes, return_counts=True)
+    lo = np.searchsorted(index.codes, q_codes, side="left")
+    hi = np.searchsorted(index.codes, q_codes, side="right")
+    hits = hi - lo
+    # posting positions lo[i] .. hi[i]-1 of every query k-mer, concatenated
+    ends = np.cumsum(hits)
+    postings = np.arange(hits.sum()) + np.repeat(lo - (ends - hits), hits)
+    shared = np.minimum(np.repeat(q_counts, hits), index.counts[postings])
+    inter = np.bincount(index.ref_ids[postings], weights=shared, minlength=len(index.labels))
+    best = int(inter.argmax())
+    return best, int(inter[best]) / q_size
 
 
 def besthit_classify(index: BestHitIndex, sequence: str) -> TaxonomicLabel:

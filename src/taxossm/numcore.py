@@ -8,9 +8,11 @@ graph belongs to a single thread.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ContractError, NumericDomainError, ShapeError
+from .errors import ContractError, NumericDomainError, ParseError, ShapeError
 
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
@@ -510,11 +512,23 @@ def save_tensor(path, arr: np.ndarray):
 
 
 def load_tensor(path) -> np.ndarray:
+    """Inverse of save_tensor; a missing header or a payload whose size disagrees
+    with it raises ParseError naming the file."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        token, dims = header[0], tuple(int(d) for d in header[1:])
+        try:
+            token, *dims = fh.readline().decode("ascii").split()
+            dims = tuple(int(d) for d in dims)
+        except ValueError as exc:  # empty file, non-ASCII or non-integer header
+            raise ParseError(f"malformed tensor header ({exc})", path=path) from None
         if token not in _TOKEN_DTYPES:
             raise ShapeError(f"unknown dtype token '{token}' in {path}")
         raw = fh.read()
-    arr = np.frombuffer(raw, dtype=_TOKEN_DTYPES[token]).reshape(dims)
-    return arr.astype(np.dtype(_TOKEN_DTYPES[token].replace("<", "=")), copy=True)
+    dtype = np.dtype(_TOKEN_DTYPES[token])
+    expected = dtype.itemsize * math.prod(dims)
+    if len(raw) != expected:
+        raise ParseError(
+            f"payload holds {len(raw)} bytes; a {token} tensor of shape {dims} needs {expected}",
+            path=path,
+        )
+    arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
+    return arr.astype(dtype.newbyteorder("="), copy=True)

@@ -5,6 +5,8 @@ import pytest
 
 from taxossm.cli import main, resolve_config
 from taxossm.errors import ConfigError
+from taxossm.records import BarcodeRecord
+from taxossm.seqdata import write_fasta
 
 
 def run(args):
@@ -47,6 +49,20 @@ def test_cli_error_is_single_machine_parseable_line(tmp_path, capsys):
     payload = json.loads(err_lines[0])
     assert payload["error"] == "ConfigError"
     assert "input_fasta" in payload["message"]
+
+
+def test_besthit_with_empty_reference_fasta_names_the_error(tmp_path, capsys):
+    train_fa = tmp_path / "train.fasta"
+    train_fa.write_text("")
+    test_fa = tmp_path / "test.fasta"
+    write_fasta([BarcodeRecord("q", "ACGTACGTAC")], test_fa)
+    code = run(["besthit", "--out", tmp_path / "bh",
+                "--set", f"paths.train_fasta={train_fa}",
+                "--set", f"paths.test_fasta={test_fa}"])
+    assert code != 0
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "EmptyDatasetError"
 
 
 def test_set_override_lands_in_snapshot(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from taxossm.errors import ConfigError, ContractError, DegenerateVarianceError
 from taxossm.evaluation import (
@@ -286,6 +287,55 @@ def test_besthit_similarity_one_iff_contained():
     # one foreign base breaks containment against every reference
     _, sim = besthit_similarity(index, records[1].sequence[:8] + "G" + "T")
     assert sim < 1.0
+
+
+IUPAC_LETTERS = "ACGTRYSWKMBDHVN"
+FOREIGN_LETTERS = "XZ*u"  # never drawn for a reference
+
+
+def packing_limit(references):
+    """Largest k whose packed code fits in 64 bits for these references' letters."""
+    bits = (len(set("".join(references))) - 1).bit_length()
+    return 64 // bits if bits else 64
+
+
+@st.composite
+def besthit_cases(draw):
+    letters = "".join(draw(st.lists(st.sampled_from(IUPAC_LETTERS + "acgtn"),
+                                    min_size=1, unique=True)))
+    seqs = draw(st.lists(st.text(letters, max_size=40), min_size=1, max_size=6))
+    seqs += draw(st.lists(st.sampled_from(seqs), max_size=3))  # duplicates tie
+    seqs = draw(st.permutations(seqs))
+    k = draw(st.integers(1, packing_limit(seqs)))
+    # a mutated copy of a reference, padded with any letters up to length k
+    query = list(draw(st.sampled_from(seqs)))
+    for _ in range(draw(st.integers(0, 4))):
+        if query:
+            query[draw(st.integers(0, len(query) - 1))] = draw(
+                st.sampled_from(letters + FOREIGN_LETTERS))
+    query = "".join(query)
+    query += draw(st.text(letters + FOREIGN_LETTERS, min_size=max(k - len(query), 0),
+                          max_size=max(k - len(query), 0) + 8))
+    return seqs, k, query
+
+
+@settings(max_examples=300, deadline=None)
+@given(besthit_cases())
+def test_besthit_index_matches_brute_force_oracle(case):
+    seqs, k, query = case
+    records = [BarcodeRecord(f"r{i}", s) for i, s in enumerate(seqs)]
+    index = besthit_train(records, k=k)
+    assert besthit_similarity(index, query) == brute_force_best_hit(records, query, k)
+
+
+def test_besthit_k_above_packing_limit_errors():
+    for letters, limit in (("ACGTRYSWKMBDHVN", 16), ("ACGT", 32)):
+        records = [BarcodeRecord("r0", letters * 3)]
+        besthit_train(records, k=limit)
+        with pytest.raises(ConfigError) as err:
+            besthit_train(records, k=limit + 1)
+        assert f"k = {limit + 1}" in str(err.value)
+        assert f"{len(letters)} letters" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from taxossm import numcore as nc
-from taxossm.errors import ContractError, NumericDomainError, ShapeError
+from taxossm.errors import ContractError, NumericDomainError, ParseError, ShapeError
 from taxossm.numcore import Tensor
 
 
@@ -238,6 +238,20 @@ def test_tensor_dump_round_trip(tmp_path, rng):
         header, _, payload = raw.partition(b"\n")
         assert header.decode("ascii").split()[1:] == ["3", "4", "2"]
         assert payload == arr.astype("<" + arr.dtype.str[1:]).tobytes()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw[:-3],          # truncated payload
+    lambda raw: raw + b"\x00" * 4,  # extra trailing bytes
+    lambda raw: b"",               # empty file
+], ids=["truncated", "trailing_bytes", "empty"])
+def test_load_tensor_corrupt_file_raises_parse_error_naming_it(tmp_path, corrupt):
+    path = tmp_path / "w.bin"
+    nc.save_tensor(path, np.arange(6, dtype=np.float32).reshape(2, 3))
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ParseError) as err:
+        nc.load_tensor(path)
+    assert err.value.path == path and str(path) in str(err.value)
 
 
 def test_forward_ops_produce_finite_values(rng):
