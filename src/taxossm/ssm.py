@@ -10,9 +10,11 @@ Per head h the mixer's recurrence over positions t is
     H_t = exp(delta_t * a_h) * H_{t-1} + delta_t * (x_t outer B_t)
     y_t = H_t @ C_t + D_h * x_t,        H_0 = 0
 
-with H_t a (p x N) state, delta positive via softplus and a_h < 0. The scan is
-recorded as a single graph node with a hand-derived adjoint; finite
-differences and a dense quadratic-time oracle check it in the test suite.
+with H_t a (p x N) state, delta positive via softplus and a_h < 0. One B_t and
+one C_t of length N per position are shared by every head. The scan is one
+graph node with a hand-derived adjoint; finite differences, a per-head
+sequential recurrence, a chunked scan and a dense quadratic-time oracle check
+it in the test suite.
 """
 from __future__ import annotations
 
@@ -88,37 +90,19 @@ def preset_config(name: str, vocab_size: int, **overrides) -> ModelConfig:
 
 
 # ---------------------------------------------------------------------------
-# scan kernels
-
-
-def _as_batched(*arrays, want_dims):
-    batched = arrays[0].ndim == want_dims + 1
-    if batched:
-        return arrays, True
-    return tuple(a[None] for a in arrays), False
-
-
-def ssd_scan_sequential(x, delta, a, B, C, D):
-    """Reference recurrence, one position at a time.
-
-    Shapes: x (T,H,P), delta (T,H), a (H,), B and C (T,H,N), D (H,). A leading
-    batch dimension on x/delta/B/C is accepted and preserved.
-    """
-    x, delta, B, C = np.asarray(x), np.asarray(delta), np.asarray(B), np.asarray(C)
-    a, D = np.asarray(a), np.asarray(D)
-    (xb, db, Bb, Cb), batched = _as_batched(x, delta, B, C, want_dims=3)
-    y, _ = _scan_forward(xb, db, a, Bb, Cb, D)
-    return y if batched else y[0]
+# scan kernel
 
 
 def _scan_forward(x, delta, a, B, C, D):
-    """Batched forward of the recurrence; also returns the per-step states."""
+    """Forward of the recurrence; also returns the per-step states."""
+    if x.ndim != 4:
+        raise ShapeError(f"x must be (Bsz,T,H,P), got {x.shape}")
     Bsz, T, H, P = x.shape
     N = B.shape[-1]
     if delta.shape != (Bsz, T, H):
         raise ShapeError(f"delta shape {delta.shape} != {(Bsz, T, H)}")
-    if B.shape != (Bsz, T, H, N) or C.shape != (Bsz, T, H, N):
-        raise ShapeError(f"B/C shapes {B.shape}/{C.shape} != {(Bsz, T, H, N)}")
+    if B.shape != (Bsz, T, N) or C.shape != (Bsz, T, N):
+        raise ShapeError(f"B/C shapes {B.shape}/{C.shape} != {(Bsz, T, N)}")
     if a.shape != (H,) or D.shape != (H,):
         raise ShapeError(f"a/D shapes {a.shape}/{D.shape} != {(H,)}")
     A = np.exp(delta * a)  # (Bsz,T,H)
@@ -127,16 +111,16 @@ def _scan_forward(x, delta, a, B, C, D):
     y = np.empty_like(x)
     for t in range(T):
         state = A[:, t, :, None, None] * state + delta[:, t, :, None, None] * (
-            x[:, t, :, :, None] * B[:, t, :, None, :]
+            x[:, t, :, :, None] * B[:, t, None, None, :]
         )
         Hs[:, t] = state
-        y[:, t] = np.einsum("bhpn,bhn->bhp", state, C[:, t])
+        y[:, t] = np.einsum("bhpn,bn->bhp", state, C[:, t])
     y = y + D[None, None, :, None] * x
     return y, (A, Hs)
 
 
 def _scan_backward(g, x, delta, a, B, C, D, A, Hs):
-    """Adjoint of _scan_forward; returns gradients for every input."""
+    """Adjoint of _scan_forward; dB and dC sum over the heads that share B and C."""
     Bsz, T, H, P = x.shape
     dD = np.einsum("bthp,bthp->h", g, x)
     dx = D[None, None, :, None] * g
@@ -146,68 +130,30 @@ def _scan_backward(g, x, delta, a, B, C, D, A, Hs):
     da = np.zeros_like(a)
     G = np.zeros((Bsz, H, P, Hs.shape[-1]), dtype=x.dtype)
     for t in range(T - 1, -1, -1):
-        G = G + g[:, t, :, :, None] * C[:, t, :, None, :]
-        dC[:, t] = np.einsum("bhpn,bhp->bhn", Hs[:, t], g[:, t])
+        G = G + g[:, t, :, :, None] * C[:, t, None, None, :]
+        # sum per head, then over heads: one f32 pass over all H*P terms
+        # doubles the rounding error of dB and dC
+        dC[:, t] = np.einsum("bhpn,bhp->bhn", Hs[:, t], g[:, t]).sum(axis=1)
         h_prev = Hs[:, t - 1] if t > 0 else np.zeros_like(G)
         s_decay = np.einsum("bhpn,bhpn->bh", G, h_prev)
-        s_input = np.einsum("bhpn,bhpn->bh", G, x[:, t, :, :, None] * B[:, t, :, None, :])
+        s_input = np.einsum("bhpn,bhpn->bh", G, x[:, t, :, :, None] * B[:, t, None, None, :])
         ddelta[:, t] = s_decay * a * A[:, t] + s_input
         da += np.einsum("bh,bh->h", s_decay, delta[:, t] * A[:, t])
-        dx[:, t] += delta[:, t, :, None] * np.einsum("bhpn,bhn->bhp", G, B[:, t])
-        dB[:, t] = delta[:, t, :, None] * np.einsum("bhpn,bhp->bhn", G, x[:, t])
+        dx[:, t] += delta[:, t, :, None] * np.einsum("bhpn,bn->bhp", G, B[:, t])
+        dB[:, t] = (delta[:, t, :, None] * np.einsum("bhpn,bhp->bhn", G, x[:, t])).sum(axis=1)
         G = A[:, t, :, None, None] * G
     return dx, ddelta, da, dB, dC, dD
 
 
 def scan_op(x: Tensor, delta: Tensor, a: Tensor, B: Tensor, C: Tensor, D: Tensor) -> Tensor:
-    """Differentiable scan node over batched (Bsz,T,H,P) inputs."""
+    """Differentiable scan node: x (Bsz,T,H,P), delta (Bsz,T,H), a and D (H,),
+    and B and C (Bsz,T,N) shared by every head."""
     y, (A, Hs) = _scan_forward(x.data, delta.data, a.data, B.data, C.data, D.data)
 
     def bw(g):
         return _scan_backward(g, x.data, delta.data, a.data, B.data, C.data, D.data, A, Hs)
 
     return nc.make_op(y, (x, delta, a, B, C, D), bw)
-
-
-def ssd_scan_chunked(x, delta, a, B, C, D, chunk_size: int):
-    """Block-processed scan: dense within each chunk, state carried between chunks.
-
-    Numerically equivalent to ssd_scan_sequential; the dense intra-chunk form
-    trades memory (chunk_size^2) for vectorization.
-    """
-    if chunk_size < 1:
-        raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
-    x, delta, B, C = np.asarray(x), np.asarray(delta), np.asarray(B), np.asarray(C)
-    a, D = np.asarray(a), np.asarray(D)
-    (xb, Bb, Cb), batched = _as_batched(x, B, C, want_dims=3)
-    (db,), _ = _as_batched(delta, want_dims=2)
-
-    Bsz, T, H, P = xb.shape
-    N = Bb.shape[-1]
-    if db.shape != (Bsz, T, H) or Bb.shape != (Bsz, T, H, N) or Cb.shape != (Bsz, T, H, N):
-        raise ShapeError(
-            f"inconsistent scan shapes x={xb.shape} delta={db.shape} B={Bb.shape} C={Cb.shape}"
-        )
-    y = np.empty_like(xb)
-    state = np.zeros((Bsz, H, P, N), dtype=xb.dtype)
-    for s in range(0, T, chunk_size):
-        e = min(s + chunk_size, T)
-        q = e - s
-        xq, dq, Bq, Cq = xb[:, s:e], db[:, s:e], Bb[:, s:e], Cb[:, s:e]
-        log_decay = dq * a                        # (Bsz,q,H), all <= 0 for a < 0
-        cum = np.cumsum(log_decay, axis=1)        # inclusive from chunk start
-        diff = cum[:, :, None, :] - cum[:, None, :, :]
-        causal = np.tril(np.ones((q, q), dtype=bool))[None, :, :, None]
-        decay = np.exp(np.where(causal, diff, -np.inf))
-        weights = np.einsum("bthn,buhn->btuh", Cq, Bq) * decay * dq[:, None, :, :]
-        y_intra = np.einsum("btuh,buhp->bthp", weights, xq)
-        y_state = np.exp(cum)[:, :, :, None] * np.einsum("bhpn,bthn->bthp", state, Cq)
-        y[:, s:e] = y_intra + y_state + D[None, None, :, None] * xq
-        carry = np.exp(cum[:, -1:, :] - cum) * dq  # (Bsz,q,H)
-        state = np.exp(cum[:, -1])[:, :, None, None] * state + np.einsum(
-            "buh,buhp,buhn->bhpn", carry, xq, Bq
-        )
-    return y if batched else y[0]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +274,7 @@ def block_forward(params: dict[str, Tensor], prefix: str, x: Tensor, cfg: ModelC
     """One pre-norm block: x + Mixer(LN(x)), then u + MLP(LN(u)). x is (Bsz,T,d)."""
     p = {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
     Bsz, T, _ = x.data.shape
-    H, P, N = cfg.n_heads, cfg.head_dim, cfg.d_state
+    H, P = cfg.n_heads, cfg.head_dim
 
     mix_in = nc.layer_norm(x, p["ln1_g"], p["ln1_b"])
     value = nc.silu(nc.causal_depthwise_conv(nc.matmul(mix_in, p["w_val"]), p["conv"]))
@@ -339,9 +285,7 @@ def block_forward(params: dict[str, Tensor], prefix: str, x: Tensor, cfg: ModelC
     a = nc.neg(nc.exp(p["a_log"]))
 
     xh = nc.reshape(value, (Bsz, T, H, P))
-    Bh = nc.broadcast_to(nc.reshape(Bm, (Bsz, T, 1, N)), (Bsz, T, H, N))
-    Ch = nc.broadcast_to(nc.reshape(Cm, (Bsz, T, 1, N)), (Bsz, T, H, N))
-    y = scan_op(xh, delta, a, Bh, Ch, p["skip_D"])
+    y = scan_op(xh, delta, a, Bm, Cm, p["skip_D"])
     y = nc.mul(nc.reshape(y, (Bsz, T, cfg.d_inner)), nc.silu(gate))
     u = nc.add(x, nc.matmul(y, p["w_out"]))
 

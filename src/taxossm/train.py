@@ -10,14 +10,14 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import numcore as nc
 from . import ssm
-from .errors import CompatibilityError, ConfigError, EmptyDatasetError
+from .errors import CompatibilityError, ConfigError, EmptyDatasetError, NumericDomainError
 from .numcore import Tensor
 from .records import N_RANKS
 from .taxonomy import (
@@ -289,6 +289,12 @@ def _encode_all(records, vocab: Vocab, max_len: int) -> list[list[int]]:
     return [encode(vocab, r.sequence, max_len).ids for r in records]
 
 
+def _check_finite(loss: float, epoch: int, split: str):
+    # raised before the epoch's checkpoint write, so `last` keeps the previous epoch
+    if not np.isfinite(loss):
+        raise NumericDomainError(f"epoch {epoch}: non-finite {split} loss {loss}")
+
+
 def _run_loop(
     *,
     state: ssm.ModelState,
@@ -321,11 +327,13 @@ def _run_loop(
             total += loss_value * weight
             denom += weight
         train_loss = total / max(denom, 1)
+        _check_finite(train_loss, epoch, "train")
         log.write(epoch=epoch, split="train", loss=train_loss, lr=cfg.lr,
                   wall_ms=1000.0 * (time.monotonic() - t0))
 
         t0 = time.monotonic()
         val_loss = val_pass()
+        _check_finite(val_loss, epoch, "val")
         log.write(epoch=epoch, split="val", loss=val_loss, lr=cfg.lr,
                   wall_ms=1000.0 * (time.monotonic() - t0))
 
@@ -375,6 +383,9 @@ def _run_loop(
 def _resume_if_requested(out_dir: Path, resume: bool, state: ssm.ModelState, opt: AdamW,
                          rng: np.random.Generator, loop: _LoopState):
     last = Path(out_dir) / "last"
+    if not (last / "manifest.json").exists():
+        # a crash between the two renames in _write_checkpoint leaves only last.old
+        last = last.parent / "last.old"
     if not resume or not (last / "manifest.json").exists():
         return None
     ckpt = Checkpoint(last)
@@ -438,8 +449,7 @@ def pretrain(
 
     manifest = {
         "stage": "pretrain",
-        "model_config": model_cfg.backbone_fields() | {
-            "max_len": model_cfg.max_len, "head_mode": model_cfg.head_mode},
+        "model_config": asdict(model_cfg),
         "train_config": asdict(cfg),
         "norm_param_names": sorted(state.norm_param_names),
         "class_counts": None,
@@ -474,7 +484,6 @@ def finetune(
     out_dir,
     model_cfg: ssm.ModelConfig | None = None,
     init_from: Checkpoint | str | None = None,
-    class_weights_override: ClassWeights | None = None,
     resume: bool = False,
 ) -> Checkpoint:
     """Supervised fine-tuning (stage=finetune) or training from scratch (stage=scratch).
@@ -492,39 +501,28 @@ def finetune(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    ckpt = None
     if cfg.stage == "finetune":
         if init_from is None:
             raise ConfigError("stage=finetune requires a pretraining checkpoint")
         ckpt = init_from if isinstance(init_from, Checkpoint) else Checkpoint(init_from)
-        loaded_cfg = ssm.ModelConfig(**{**ckpt.manifest["model_config"],
-                                        "head_mode": cfg.head_mode})
-        if model_cfg is not None:
-            _check_compatible(ckpt, model_cfg, vocab)
-            loaded_cfg = ssm.ModelConfig(**{**model_cfg.backbone_fields(),
-                                            "max_len": model_cfg.max_len,
-                                            "head_mode": cfg.head_mode})
-        else:
-            _check_compatible(ckpt, loaded_cfg, vocab)
-        model_cfg = loaded_cfg
-        state = ssm.init_model(model_cfg, seed=cfg.seed)
+        if model_cfg is None:
+            model_cfg = ssm.ModelConfig(**ckpt.manifest["model_config"])
+        _check_compatible(ckpt, model_cfg, vocab)
+    elif model_cfg is None:
+        raise ConfigError("stage=scratch requires a ModelConfig")
+    model_cfg = replace(model_cfg, head_mode=cfg.head_mode)
+    state = ssm.init_model(model_cfg, seed=cfg.seed)
+    if ckpt is not None:
         for name, arr in ckpt.load_arrays("params").items():
             state.params[name].data = arr.copy()
-    else:
-        if model_cfg is None:
-            raise ConfigError("stage=scratch requires a ModelConfig")
-        model_cfg = ssm.ModelConfig(**{**model_cfg.backbone_fields(),
-                                       "max_len": model_cfg.max_len,
-                                       "head_mode": cfg.head_mode})
-        state = ssm.init_model(model_cfg, seed=cfg.seed)
 
     if cfg.head_mode == "single" and not any(
             r.label.depth == N_RANKS for r in train_records):
         raise ConfigError("single-head mode needs at least one species-labelled record")
 
     ssm.add_classification_heads(state, taxonomy.class_counts(), seed=cfg.seed)
-    weights = class_weights_override
-    if weights is None and cfg.weighted_loss:
-        weights = compute_class_weights(taxonomy)
+    weights = compute_class_weights(taxonomy) if cfg.weighted_loss else None
 
     train_tokens = _encode_all(train_records, vocab, model_cfg.max_len)
     val_tokens = _encode_all(val_records, vocab, model_cfg.max_len)
@@ -572,8 +570,7 @@ def finetune(
 
     manifest = {
         "stage": cfg.stage,
-        "model_config": model_cfg.backbone_fields() | {
-            "max_len": model_cfg.max_len, "head_mode": model_cfg.head_mode},
+        "model_config": asdict(model_cfg),
         "train_config": asdict(cfg),
         "norm_param_names": sorted(state.norm_param_names),
         "class_counts": taxonomy.class_counts(),

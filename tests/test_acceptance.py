@@ -29,7 +29,14 @@ from taxossm.train import TrainConfig, finetune, pretrain, weighted_cross_entrop
 from conftest import toy_records
 from test_evaluation import brute_force_rank_metrics, labelled_records
 from test_seqdata import brute_force_filter, ten_record_fixture
-from test_ssm import dense_quadratic_scan, random_scan_inputs
+from test_ssm import (
+    chunked_scan,
+    dense_quadratic_scan,
+    per_head,
+    random_scan_inputs,
+    sequential_scan,
+    shared_scan,
+)
 from test_train import _assert_checkpoints_bitwise_equal
 
 
@@ -73,21 +80,30 @@ def test_c01_gradient_integrity():
 
 
 def test_c02_scan_equivalence():
-    with criterion(2, "chunked scan == sequential scan == dense oracle"):
+    with criterion(2, "chunked scan == sequential scan == dense oracle == package scan_op"):
         rng = np.random.default_rng(2)
         for trial in range(50):
             T = int(rng.integers(4, 65))
             x, delta, a, B, C, D = random_scan_inputs(
                 rng, T=T, H=int(rng.integers(1, 4)), P=int(rng.integers(2, 6)),
                 N=int(rng.integers(2, 10)), dtype=np.float32)
-            y_seq = ssm.ssd_scan_sequential(x, delta, a, B, C, D)
+            y_seq = sequential_scan(x, delta, a, B, C, D)
             for cs in (1, 7, 16, T):
-                y_ch = ssm.ssd_scan_chunked(x, delta, a, B, C, D, cs)
+                y_ch = chunked_scan(x, delta, a, B, C, D, cs)
                 dev = np.abs(y_ch - y_seq).max()
                 assert dev < 1e-5, f"trial {trial} chunk {cs}: deviation {dev:.2e}"
-            dense = dense_quadratic_scan(*(v.astype(np.float64) for v in (x, delta, a, B, C, D)))
+            x64, delta64, a64, B64, C64, D64 = (
+                v.astype(np.float64) for v in (x, delta, a, B, C, D))
+            dense = dense_quadratic_scan(x64, delta64, a64, B64, C64, D64)
             dev = np.abs(y_seq - dense).max()
             assert dev < 1e-5, f"trial {trial}: dense oracle deviation {dev:.2e}"
+            # the package kernel shares one B and C across heads: head 0's here
+            H = x.shape[1]
+            y_pkg = shared_scan(x, delta, a, B[:, 0], C[:, 0], D)
+            dense = dense_quadratic_scan(x64, delta64, a64, per_head(B64[:, 0], H),
+                                         per_head(C64[:, 0], H), D64)
+            dev = np.abs(y_pkg - dense).max()
+            assert dev < 1e-5, f"trial {trial}: package scan_op deviation {dev:.2e}"
 
 
 def test_c03_causality():

@@ -3,7 +3,7 @@ import pytest
 
 from taxossm import numcore as nc
 from taxossm import ssm
-from taxossm.errors import ConfigError, ContractError
+from taxossm.errors import ConfigError, ContractError, ShapeError
 from taxossm.numcore import Tensor
 from taxossm.ssm import (
     ModelConfig,
@@ -16,8 +16,6 @@ from taxossm.ssm import (
     param_count,
     preset_config,
     scan_op,
-    ssd_scan_chunked,
-    ssd_scan_sequential,
 )
 from taxossm.tokenizers import PAD
 
@@ -46,50 +44,128 @@ def dense_quadratic_scan(x, delta, a, B, C, D):
     return y
 
 
+def sequential_scan(x, delta, a, B, C, D):
+    """Reference recurrence, one position at a time, with a B and C per head.
+
+    Shapes: x (T,H,P), delta (T,H), a (H,), B and C (T,H,N), D (H,).
+    """
+    T, H, P = x.shape
+    state = np.zeros((H, P, B.shape[-1]), dtype=x.dtype)
+    y = np.empty_like(x)
+    for t in range(T):
+        state = np.exp(delta[t] * a)[:, None, None] * state + delta[t][:, None, None] * (
+            x[t][:, :, None] * B[t][:, None, :])
+        y[t] = np.einsum("hpn,hn->hp", state, C[t]) + D[:, None] * x[t]
+    return y
+
+
+def chunked_scan(x, delta, a, B, C, D, chunk_size):
+    """Block-processed scan: dense within each chunk, state carried between chunks.
+
+    Same shapes as sequential_scan; the dense intra-chunk form (Dao & Gu 2024,
+    arXiv:2405.21060, section 6) computes the same recurrence in another order.
+    """
+    T, H, P = x.shape
+    y = np.empty_like(x)
+    state = np.zeros((H, P, B.shape[-1]), dtype=x.dtype)
+    for s in range(0, T, chunk_size):
+        e = min(s + chunk_size, T)
+        xq, dq, Bq, Cq = x[s:e], delta[s:e], B[s:e], C[s:e]
+        cum = np.cumsum(dq * a, axis=0)  # (q,H) log decay from the chunk start, <= 0
+        causal = np.tril(np.ones((e - s, e - s), dtype=bool))[:, :, None]
+        decay = np.exp(np.where(causal, cum[:, None, :] - cum[None, :, :], -np.inf))
+        weights = np.einsum("thn,uhn->tuh", Cq, Bq) * decay * dq[None, :, :]
+        y_intra = np.einsum("tuh,uhp->thp", weights, xq)
+        y_state = np.exp(cum)[:, :, None] * np.einsum("hpn,thn->thp", state, Cq)
+        y[s:e] = y_intra + y_state + D[None, :, None] * xq
+        carry = np.exp(cum[-1:] - cum) * dq  # (q,H)
+        state = np.exp(cum[-1])[:, None, None] * state + np.einsum(
+            "uh,uhp,uhn->hpn", carry, xq, Bq)
+    return y
+
+
+def shared_scan(x, delta, a, B, C, D):
+    """The package kernel on one sequence: x (T,H,P), delta (T,H), B and C (T,N)."""
+    args = (x[None], delta[None], a, B[None], C[None], D)
+    return scan_op(*(Tensor(v) for v in args)).data[0]
+
+
+def per_head(M, H):
+    """A shared (T,N) B or C repeated for each of H heads, as the oracles take it."""
+    return np.broadcast_to(M[:, None, :], (M.shape[0], H, M.shape[1]))
+
+
 # ---------------------------------------------------------------------------
-# scan kernels
+# scan kernel
 
 
 def test_scan_zero_delta_is_pure_skip(rng):
     x, delta, a, B, C, D = random_scan_inputs(rng)
-    y = ssd_scan_sequential(x, np.zeros_like(delta), a, B, C, D)
+    y = shared_scan(x, np.zeros_like(delta), a, B[:, 0], C[:, 0], D)
     assert np.array_equal(y, D[None, :, None] * x)
 
 
 def test_scan_single_step_closed_form(rng):
     x, delta, a, B, C, D = random_scan_inputs(rng, T=1)
-    y = ssd_scan_sequential(x, delta, a, B, C, D)
+    y = shared_scan(x, delta, a, B[:, 0], C[:, 0], D)
     # y_1 = delta_1 * (x_1 outer B_1) @ C_1 + D * x_1
-    explicit = np.einsum("hp,hn,hn->hp", delta[0, :, None] * x[0], B[0], C[0]) + D[:, None] * x[0]
+    explicit = (np.einsum("hp,n,n->hp", delta[0, :, None] * x[0], B[0, 0], C[0, 0])
+                + D[:, None] * x[0])
     assert np.allclose(y[0], explicit, atol=1e-12)
 
 
 def test_scan_matches_dense_oracle(rng):
     for T in (8, 32, 64):
         x, delta, a, B, C, D = random_scan_inputs(rng, T=T)
-        y = ssd_scan_sequential(x, delta, a, B, C, D)
-        assert np.abs(y - dense_quadratic_scan(x, delta, a, B, C, D)).max() < 1e-5
+        H = x.shape[1]
+        y = shared_scan(x, delta, a, B[:, 0], C[:, 0], D)
+        dense = dense_quadratic_scan(x, delta, a, per_head(B[:, 0], H), per_head(C[:, 0], H), D)
+        assert np.abs(y - dense).max() < 1e-5
 
 
 def test_chunked_matches_sequential_f32(rng):
     x, delta, a, B, C, D = random_scan_inputs(rng, T=64, dtype=np.float32)
-    y_seq = ssd_scan_sequential(x, delta, a, B, C, D)
+    H = x.shape[1]
+    y_seq = shared_scan(x, delta, a, B[:, 0], C[:, 0], D)
     for cs in (1, 7, 16, 64):
-        y_ch = ssd_scan_chunked(x, delta, a, B, C, D, cs)
+        y_ch = chunked_scan(x, delta, a, per_head(B[:, 0], H), per_head(C[:, 0], H), D, cs)
         assert np.abs(y_ch - y_seq).max() < 1e-5
 
 
 def test_chunked_matches_sequential_f64(rng):
     x, delta, a, B, C, D = random_scan_inputs(rng, T=48, dtype=np.float64)
-    y_seq = ssd_scan_sequential(x, delta, a, B, C, D)
+    H = x.shape[1]
+    y_seq = shared_scan(x, delta, a, B[:, 0], C[:, 0], D)
     for cs in (1, 7, 16, 48):
-        assert np.abs(ssd_scan_chunked(x, delta, a, B, C, D, cs) - y_seq).max() < 1e-10
+        y_ch = chunked_scan(x, delta, a, per_head(B[:, 0], H), per_head(C[:, 0], H), D, cs)
+        assert np.abs(y_ch - y_seq).max() < 1e-10
 
 
-def test_chunked_rejects_bad_chunk_size(rng):
-    x, delta, a, B, C, D = random_scan_inputs(rng, T=4)
-    with pytest.raises(ConfigError):
-        ssd_scan_chunked(x, delta, a, B, C, D, 0)
+def _scan_args():
+    """Valid scan_op inputs with Bsz 2, T 5, H 3, P 4, N 6, in argument order."""
+    rng = np.random.default_rng(0)
+    return dict(x=rng.normal(size=(2, 5, 3, 4)), delta=np.full((2, 5, 3), 0.1),
+                a=-np.ones(3), B=rng.normal(size=(2, 5, 6)),
+                C=rng.normal(size=(2, 5, 6)), D=np.ones(3))
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("x", (5, 3, 4)),          # no batch axis
+    ("B", (2, 5, 3, 6)),       # a B per head
+    ("C", (2, 5, 3, 6)),
+    ("B", (2, 4, 6)),          # wrong T
+    ("C", (1, 5, 6)),          # wrong batch
+    ("C", (2, 5, 7)),          # disagrees with B on N
+    ("delta", (2, 5, 4)),
+    ("delta", (2, 5)),
+    ("a", (4,)),
+    ("D", (3, 1)),
+])
+def test_scan_op_rejects_bad_shapes(name, shape):
+    args = _scan_args()
+    args[name] = np.ones(shape)
+    with pytest.raises(ShapeError):
+        scan_op(*(Tensor(v) for v in args.values()))
 
 
 def test_scan_op_gradient(rng):
@@ -100,7 +176,7 @@ def test_scan_op_gradient(rng):
         return nc.tsum(nc.mul(y, y))
 
     params = [Tensor(v if v.ndim == 1 else v[None], requires_grad=True, dtype=np.float64)
-              for v in (x, delta, a, B, C, D)]
+              for v in (x, delta, a, B[:, 0], C[:, 0], D)]
     assert nc.grad_check(f, params, step=1e-5, max_coords=16) < 1e-5
 
 

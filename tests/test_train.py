@@ -6,7 +6,13 @@ import pytest
 
 from taxossm import numcore as nc
 from taxossm import ssm
-from taxossm.errors import CompatibilityError, ConfigError, EmptyDatasetError
+from taxossm import train
+from taxossm.errors import (
+    CompatibilityError,
+    ConfigError,
+    EmptyDatasetError,
+    NumericDomainError,
+)
 from taxossm.numcore import Tensor
 from taxossm.records import BarcodeRecord, make_label
 from taxossm.seqdata import SynthConfig, split_dataset, synth_generate
@@ -316,6 +322,60 @@ def test_pretrain_resume_reproduces_uninterrupted_run(tmp_path):
     assert resumed.manifest["history"] == full.manifest["history"]
     _assert_checkpoints_bitwise_equal(tmp_path / "full" / "final",
                                       tmp_path / "resumed" / "final")
+
+
+def test_pretrain_resumes_from_last_old_after_crash_between_renames(tmp_path):
+    train_recs, val_recs, _ = _synth_split()
+    vocab = bpe_train([r.sequence for r in train_recs], 12)
+    mcfg = _tiny_model(vocab)
+
+    full_cfg = TrainConfig(stage="pretrain", max_epochs=2, batch_size=16, seed=3, patience=10)
+    full = pretrain(train_recs, val_recs, vocab, mcfg, full_cfg, tmp_path / "full")
+
+    half_cfg = TrainConfig(stage="pretrain", max_epochs=1, batch_size=16, seed=3, patience=10)
+    pretrain(train_recs, val_recs, vocab, mcfg, half_cfg, tmp_path / "resumed")
+    # what a kill between `last` -> `last.old` and `tmp` -> `last` leaves behind
+    (tmp_path / "resumed" / "last").replace(tmp_path / "resumed" / "last.old")
+    resumed = pretrain(train_recs, val_recs, vocab, mcfg, full_cfg,
+                       tmp_path / "resumed", resume=True)
+
+    assert resumed.manifest["history"] == full.manifest["history"]
+    _assert_checkpoints_bitwise_equal(tmp_path / "full" / "final",
+                                      tmp_path / "resumed" / "final")
+    assert not (tmp_path / "resumed" / "last.old").exists()
+    # a silent restart reproduces the same numbers, so check epoch 1 ran only once
+    log = (tmp_path / "resumed" / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(line)["epoch"] for line in log] == [1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_nonfinite_loss_stops_before_checkpoint(tmp_path, monkeypatch, split):
+    train_recs, val_recs, _ = _synth_split()
+    vocab = char_vocab()
+    epochs_written = []
+    write_checkpoint = train._write_checkpoint
+
+    def record_write(dest, manifest, *args):
+        epochs_written.append(manifest["epoch"])
+        write_checkpoint(dest, manifest, *args)
+
+    def poisoned_lm_loss(state, ids, mask):
+        loss, n_valid = lm_loss(state, ids, mask)
+        in_val = not nc._grad_enabled
+        if epochs_written and in_val == (split == "val"):
+            loss = nc.mul(loss, Tensor(np.asarray(np.nan, dtype=loss.data.dtype)))
+        return loss, n_valid
+
+    monkeypatch.setattr(train, "_write_checkpoint", record_write)
+    monkeypatch.setattr(train, "lm_loss", poisoned_lm_loss)
+    cfg = TrainConfig(stage="pretrain", max_epochs=3, batch_size=16, seed=0, patience=10)
+    with pytest.raises(NumericDomainError, match=f"epoch 2: non-finite {split} loss"):
+        pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, tmp_path / "pt")
+
+    assert epochs_written == [1]
+    last = json.loads((tmp_path / "pt" / "last" / "manifest.json").read_text())
+    assert last["epoch"] == 1 and all(np.isfinite(h["val_loss"]) for h in last["history"])
+    assert not (tmp_path / "pt" / "final").exists()
 
 
 def test_finetune_overfits_tiny_dataset(tmp_path):
