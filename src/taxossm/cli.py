@@ -227,18 +227,18 @@ def cmd_tok_train(cfg, out: Path):
     print(f"vocab of {len(vocab)} tokens written to {out / 'vocab.txt'}")
 
 
-def cmd_pretrain(cfg, out: Path):
+def cmd_pretrain(cfg, out: Path, resume: bool = False):
     train_recs = seqdata.parse_fasta(_require_path(cfg, "train_fasta"))
     val_recs = seqdata.parse_fasta(_require_path(cfg, "val_fasta"))
     vocab = load_vocab(_require_path(cfg, "vocab"))
     tcfg = _train_config(cfg, "pretrain")
     mcfg = _model_config(cfg, len(vocab), tcfg.head_mode)
-    ckpt = train.pretrain(train_recs, val_recs, vocab, mcfg, tcfg, out)
+    ckpt = train.pretrain(train_recs, val_recs, vocab, mcfg, tcfg, out, resume=resume)
     print(f"pretraining done: best val loss {ckpt.manifest['best_val_loss']:.4f} "
           f"at epoch {ckpt.manifest['best_epoch']}")
 
 
-def cmd_finetune(cfg, out: Path):
+def cmd_finetune(cfg, out: Path, resume: bool = False):
     train_recs = seqdata.parse_fasta(_require_path(cfg, "train_fasta"))
     val_recs = seqdata.parse_fasta(_require_path(cfg, "val_fasta"))
     taxonomy = build_taxonomy(train_recs)
@@ -253,7 +253,7 @@ def cmd_finetune(cfg, out: Path):
         mcfg = _model_config(cfg, len(vocab), tcfg.head_mode)
     ckpt = train.finetune(
         train_recs, val_recs, taxonomy, vocab, tcfg, out,
-        model_cfg=mcfg, init_from=init_from,
+        model_cfg=mcfg, init_from=init_from, resume=resume,
     )
     print(f"fine-tuning done: best val loss {ckpt.manifest['best_val_loss']:.4f} "
           f"at epoch {ckpt.manifest['best_epoch']}")
@@ -365,6 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override synth/split/train seeds at once")
+        if name in ("pretrain", "finetune"):
+            p.add_argument("--resume", action="store_true",
+                           help="continue from the last checkpoint in --out, if there is one")
     return parser
 
 
@@ -374,7 +377,8 @@ def main(argv=None) -> int:
         config = resolve_config(args.config, args.set, args.seed)
         out = Path(args.out)
         _snapshot(config, out)
-        COMMANDS[args.command](config, out)
+        extra = {"resume": args.resume} if "resume" in args else {}
+        COMMANDS[args.command](config, out, **extra)
         return 0
     except Exception as exc:  # single-line machine-parseable failure report
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -6,7 +6,10 @@ happens here.
 """
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -17,6 +20,7 @@ SPECIAL_NAMES = ("<pad>", "<unk>", "<bos>", "<eos>")
 N_SPECIALS = 4
 
 _ACGT = "ACGT"
+_SEP = "\0"  # separates sequences in a bpe_train stream; no token is chr(0)
 
 
 @dataclass
@@ -97,19 +101,24 @@ def kmer_encode(vocab: Vocab, sequence: str, max_len: int = 10**9) -> TokenSeque
     return _frame(body, max_len)
 
 
-def _pair_counts(corpus_tokens: list[list[str]]) -> Counter:
-    counts: Counter = Counter()
-    for toks in corpus_tokens:
-        counts.update(zip(toks, toks[1:]))
-    return counts
-
-
 def bpe_train(corpus: list[str], vocab_size: int) -> Vocab:
     """Standard BPE over the observed character alphabet.
 
-    Repeatedly merges the most frequent adjacent pair (ties broken
-    lexicographically by the concatenated string) until `vocab_size` tokens
-    exist or no pair occurs at least twice. Single-threaded and deterministic.
+    Repeatedly merges the most frequent adjacent pair until `vocab_size` tokens
+    exist or no pair occurs at least twice. A tie on count goes to the pair
+    whose concatenated string sorts first; a tie on that too goes to the pair
+    that occurs first in the current token stream (the corpus in order, each
+    sequence left to right). A merge replaces every occurrence left to right
+    without overlap, so a run of equal tokens merges pairwise from its left
+    end. Single-threaded and deterministic.
+
+    Each distinct sequence is held once, weighted by its multiplicity: token id
+    i is the character chr(i) (so at most 1,114,111 tokens), and the sequences
+    of one multiplicity form one string, separated by chr(0). A merge is one
+    `str.replace` per string. Pair counts live in a dict and change only
+    around the merged positions; the next merge comes from a lazy max-heap
+    keyed by (-count, concatenation) that holds only the pairs counted at
+    least twice.
     """
     if not corpus:
         raise ConfigError("bpe_train needs a non-empty corpus")
@@ -121,68 +130,187 @@ def bpe_train(corpus: list[str], vocab_size: int) -> Vocab:
             f"got {vocab_size}"
         )
     tokens = _base_table(alphabet)
-    corpus_tokens = [list(seq) for seq in corpus]
     merges: list[tuple[str, str]] = []
+    surface = [_SEP] + alphabet                   # token chr(i) spells surface[i]
+    char_of = {tok: chr(i) for i, tok in enumerate(surface) if i}
+
+    # multiplicity -> its sequences' corpus indices, in first-occurrence order,
+    # and the string holding them, with a separator before and after each
+    distinct = list(Counter(corpus).items())
+    seq_index: dict[int, list[int]] = {}
+    for k, (_, weight) in enumerate(distinct):
+        seq_index.setdefault(weight, []).append(k)
+    table = str.maketrans(char_of)
+    streams = {
+        weight: _SEP + _SEP.join(distinct[k][0].translate(table) for k in ks) + _SEP
+        for weight, ks in seq_index.items()
+    }
+    counts: dict[str, int] = {}                   # two-character pair -> weighted count
+    for weight, stream in streams.items():
+        for (x, y), c in Counter(zip(stream, stream[1:])).items():
+            if x != _SEP and y != _SEP:
+                counts[x + y] = counts.get(x + y, 0) + c * weight
+
+    def key(pair: str, count: int):
+        return (-count, surface[ord(pair[0])] + surface[ord(pair[1])], pair)
+
+    # every pair counted at least twice has a heap entry with a count at least
+    # its current one: a rise pushes a new entry, and an entry above a count
+    # that fell is pushed again at that count when it comes up (_pop_best)
+    heap = [key(pair, c) for pair, c in counts.items() if c >= 2]
+    heapq.heapify(heap)
+    first_at = functools.partial(_first_occurrence, streams, seq_index)
 
     while len(tokens) < vocab_size:
-        counts = _pair_counts(corpus_tokens)
-        if not counts:
+        best = _pop_best(heap, counts, key, first_at)
+        if best is None:
             break
-        best_pair = min(counts, key=lambda p: (-counts[p], p[0] + p[1]))
-        if counts[best_pair] < 2:
-            break
-        merged = best_pair[0] + best_pair[1]
-        merges.append(best_pair)
+        a, b = best
+        merges.append((surface[ord(a)], surface[ord(b)]))
+        merged = surface[ord(a)] + surface[ord(b)]
         tokens[merged] = len(tokens)
-        a, b = best_pair
-        for toks in corpus_tokens:
-            i = 0
-            while i < len(toks) - 1:
-                if toks[i] == a and toks[i + 1] == b:
-                    toks[i:i + 2] = [merged]
-                else:
-                    i += 1
+        new = char_of.get(merged)
+        if new is None:
+            new = char_of[merged] = chr(len(surface))
+            surface.append(merged)
+
+        delta: Counter = Counter()
+        for weight, stream in streams.items():
+            at = array("q")
+            i = stream.find(best)
+            while i >= 0:
+                at.append(i)
+                i = stream.find(best, i + 2)
+            if not at:
+                continue
+            lefts = Counter(map(stream.__getitem__, map((-1).__add__, at)))
+            rights = Counter(map(stream.__getitem__, map((2).__add__, at)))
+            # where two occurrences touch, the pair between them is (b, a) before
+            # and (new, new) after: count it once, as the left one of the second
+            touching = sum(j - i == 2 for i, j in itertools.pairwise(at))
+            rights[a] -= touching
+            for x, n in lefts.items():
+                if x != _SEP:
+                    delta[x + a] -= weight * n
+                    delta[x + new] += weight * (n - touching if x == b else n)
+            delta[new + new] += weight * touching
+            for y, n in rights.items():
+                if y != _SEP:
+                    delta[b + y] -= weight * n
+                    delta[new + y] += weight * n
+            delta[best] -= weight * len(at)
+            streams[weight] = stream.replace(best, new)
+
+        for pair, d in delta.items():
+            c = counts.get(pair, 0) + d
+            if c > 0:
+                counts[pair] = c
+                if d > 0 and c >= 2:
+                    heapq.heappush(heap, key(pair, c))
+            else:
+                counts.pop(pair, None)
     return Vocab("bpe", tokens, merges=merges)
 
 
-def _apply_merges(
-    symbols: list[str],
-    merge_rank: dict[tuple[str, str], int],
-    merges: list[tuple[str, str]],
-) -> list[str]:
-    # Repeatedly merging the lowest-rank pair present is equivalent to replaying
-    # the merge list in training order: a merge can never create a new instance
-    # of an earlier pair, because both of that pair's symbols would have to
-    # survive the later merge unchanged.
-    while len(symbols) > 1:
-        best_rank = None
-        for pair in zip(symbols, symbols[1:]):
-            r = merge_rank.get(pair)
-            if r is not None and (best_rank is None or r < best_rank):
-                best_rank = r
-        if best_rank is None:
+def _first_occurrence(streams: dict[int, str], seq_index: dict[int, list[int]],
+                      pair: str) -> tuple[int, int]:
+    """(corpus index of the first sequence holding `pair`, its position there)."""
+    found = []
+    for weight, stream in streams.items():
+        i = stream.find(pair)
+        if i >= 0:
+            seq = seq_index[weight][stream.count(_SEP, 0, i) - 1]
+            found.append((seq, i - stream.rfind(_SEP, 0, i) - 1))
+    return min(found)
+
+
+def _pop_best(heap: list, counts: dict, key, first_at):
+    """Pop the pair to merge next: the highest count of at least two, then the
+    smallest concatenation, then the first occurrence (`first_at`).
+
+    An entry above its pair's current count is pushed again at that count if it
+    is still at least two; an entry below it is a leftover, since the rise
+    pushed a new one. Live entries that tie with the best on count and
+    concatenation go back on the heap unless they occur first. Returns None
+    when no pair occurs twice.
+    """
+    def live(entry) -> bool:
+        count = counts.get(entry[2], 0)
+        if count == -entry[0]:
+            return True
+        if 2 <= count < -entry[0]:
+            heapq.heappush(heap, key(entry[2], count))  # sorts after `entry`
+        return False
+
+    while heap:
+        top = heapq.heappop(heap)
+        if live(top):
             break
-        a, b = merges[best_rank]
-        merged = a + b
-        out = []
-        i = 0
-        while i < len(symbols):
-            if i < len(symbols) - 1 and symbols[i] == a and symbols[i + 1] == b:
-                out.append(merged)
-                i += 2
-            else:
-                out.append(symbols[i])
-                i += 1
-        symbols = out
-    return symbols
+    else:
+        return None
+    tied = {top[2]: top}
+    while heap and heap[0][:2] == top[:2]:
+        entry = heapq.heappop(heap)
+        if live(entry):
+            tied[entry[2]] = entry
+    if len(tied) == 1:
+        return top[2]
+    best = min(tied, key=first_at)
+    for pair, entry in tied.items():
+        if pair != best:
+            heapq.heappush(heap, entry)
+    return best
 
 
 def bpe_encode(vocab: Vocab, sequence: str, max_len: int = 10**9) -> TokenSequence:
-    """Greedy merge replay; residual symbols missing from the table map to UNK."""
+    """Merge replay; residual symbols missing from the table map to UNK.
+
+    Repeatedly applies the lowest-rank merge present, left to right without
+    overlap, over the whole sequence. The symbols form a linked list over
+    positions and a heap holds (merge rank, position) for every adjacent pair
+    that has a rank; each round pops all entries of the lowest rank and applies
+    them in position order, skipping those a merge has made stale.
+    """
     if vocab.kind != "bpe":
         raise ConfigError(f"bpe_encode needs a bpe vocab, got '{vocab.kind}'")
-    symbols = _apply_merges(list(sequence), vocab._merge_rank, vocab.merges)
-    body = [vocab.token_to_id.get(s, UNK) for s in symbols]
+    rank = vocab._merge_rank
+    merges = vocab.merges
+    symbols: list[str | None] = list(sequence)    # None once merged into its left neighbour
+    n = len(symbols)
+    nxt = list(range(1, n + 1))                   # n marks the end
+    prv = list(range(-1, n - 1))
+    heap = [(r, i) for i, r in enumerate(map(rank.get, zip(symbols, symbols[1:])))
+            if r is not None]
+    heapq.heapify(heap)
+    while heap:
+        r = heap[0][0]
+        batch = []  # popped in position order; merges it makes go to later rounds
+        while heap and heap[0][0] == r:
+            batch.append(heapq.heappop(heap)[1])
+        a, b = merges[r]
+        merged = a + b
+        for i in batch:
+            j = nxt[i]
+            if j == n or symbols[i] != a or symbols[j] != b:
+                continue
+            symbols[i] = merged
+            symbols[j] = None
+            k = nxt[i] = nxt[j]
+            if k < n:
+                prv[k] = i
+                r2 = rank.get((merged, symbols[k]))
+                if r2 is not None:
+                    heapq.heappush(heap, (r2, i))
+            p = prv[i]
+            if p >= 0:
+                r2 = rank.get((symbols[p], merged))
+                if r2 is not None:
+                    heapq.heappush(heap, (r2, p))
+    body = []
+    i = 0
+    while i < n:
+        body.append(vocab.token_to_id.get(symbols[i], UNK))
+        i = nxt[i]
     return _frame(body, max_len)
 
 
@@ -224,13 +352,22 @@ def save_vocab(vocab: Vocab, path):
 
 
 def load_vocab(path) -> Vocab:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"non-ASCII byte at offset {exc.start}", path=path) from None
     if not lines or not lines[0].startswith("#KIND"):
         raise ParseError("vocab file must start with a #KIND line", path=path, line=1)
-    kind_fields = lines[0].split()
-    kind = kind_fields[1]
-    kmer_k = int(kind_fields[2]) if kind == "kmer" else None
+    fields = lines[0].split()
+    kind = fields[1] if len(fields) > 1 else ""
+    kmer_k = None
+    if kind == "kmer" and len(fields) == 3 and fields[2].isdigit() and int(fields[2]) >= 1:
+        kmer_k = int(fields[2])
+    elif kind not in ("char", "bpe") or len(fields) != 2:
+        raise ParseError(
+            f"bad kind line '{lines[0]}': expected '#KIND char', '#KIND bpe' or '#KIND kmer K' "
+            "with K >= 1", path=path, line=1)
     try:
         merges_at = lines.index("#MERGES")
     except ValueError:
@@ -238,6 +375,8 @@ def load_vocab(path) -> Vocab:
     tokens = lines[1:merges_at]
     if tokens[:N_SPECIALS] != list(SPECIAL_NAMES):
         raise ParseError("specials must occupy ids 0..3", path=path, line=2)
+    if len(set(tokens)) != len(tokens):
+        raise ParseError("a token is listed twice", path=path)
     merges = []
     for off, ln in enumerate(lines[merges_at + 1:]):
         if not ln:
@@ -257,9 +396,11 @@ def _check_replay(vocab: Vocab, path):
     rebuilt = list(SPECIAL_NAMES) + sorted(
         t for t in vocab.token_to_id if t not in SPECIAL_NAMES and len(t) == 1
     )
+    known = set(rebuilt)
     for a, b in vocab.merges:
-        if a not in rebuilt or b not in rebuilt:
+        if a not in known or b not in known:
             raise ParseError(f"merge ({a},{b}) references unknown token", path=path)
         rebuilt.append(a + b)
+        known.add(a + b)
     if rebuilt != vocab.id_to_token:
         raise ParseError("merge replay does not reconstruct the vocabulary", path=path)

@@ -280,6 +280,23 @@ class _MetricsLog:
     def __init__(self, path):
         self.path = Path(path)
 
+    def keep_through(self, epoch: int):
+        """Drop the lines of epochs after `epoch`: those a killed run logged
+        before their checkpoint was written, or all of an earlier run's when
+        `epoch` is 0."""
+        if not self.path.exists():
+            return
+        kept = []
+        for line in self.path.read_text(encoding="ascii").splitlines():
+            try:
+                if json.loads(line)["epoch"] <= epoch:
+                    kept.append(line + "\n")
+            except (ValueError, KeyError, TypeError):
+                pass  # a line torn by the kill
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        tmp.write_text("".join(kept), encoding="ascii")
+        os.replace(tmp, self.path)
+
     def write(self, **fields):
         with open(self.path, "a", encoding="ascii") as fh:
             fh.write(json.dumps(fields) + "\n")
@@ -313,6 +330,7 @@ def _run_loop(
     manifest_base: dict,
 ) -> Checkpoint:
     log = _MetricsLog(out_dir / "metrics.jsonl")
+    log.keep_through(loop.epoch)
     started = time.monotonic()
     if best_params is None:
         best_params = _snapshot(state.params)

@@ -221,6 +221,40 @@ def test_finetune_rerun_is_byte_identical(tmp_path):
         assert (final1 / rel).read_bytes() == (final2 / rel).read_bytes(), rel
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_cli_resume_matches_uninterrupted_run(tmp_path, command):
+    work = tmp_path
+    assert run(["synth", "--out", work / "synth", "--seed", "3"] + TINY) == 0
+    assert run(["preprocess", "--out", work / "prep", "--seed", "3",
+                "--set", f"paths.input_fasta={work / 'synth' / 'synth.fasta'}"] + TINY) == 0
+    assert run(["tok-train", "--out", work / "tok",
+                "--set", f"paths.train_fasta={work / 'prep' / 'train.fasta'}"] + TINY) == 0
+    args = [command, "--seed", "3",
+            "--set", f"paths.train_fasta={work / 'prep' / 'train.fasta'}",
+            "--set", f"paths.val_fasta={work / 'prep' / 'val.fasta'}",
+            "--set", f"paths.vocab={work / 'tok' / 'vocab.txt'}"] + TINY
+    if command == "finetune":
+        args += ["--set", "train.stage=scratch"]
+    assert run(args + ["--out", work / "full"]) == 0
+    assert run(args + ["--out", work / "resumed", "--set", "train.max_epochs=1"]) == 0
+    assert read_json(work / "resumed" / "final" / "manifest.json")["epoch"] == 1
+    epoch1_log = (work / "resumed" / "metrics.jsonl").read_text().splitlines()
+    assert run(args + ["--out", work / "resumed", "--set", "train.max_epochs=2",
+                       "--resume"]) == 0
+
+    full, resumed = work / "full" / "final", work / "resumed" / "final"
+    assert read_json(resumed / "manifest.json")["history"] == read_json(
+        full / "manifest.json")["history"]
+    files = sorted(p.relative_to(full) for p in full.rglob("*.bin"))
+    assert files
+    for rel in files:
+        assert (full / rel).read_bytes() == (resumed / rel).read_bytes(), rel
+    # epoch 1 ran once: its log lines, wall times included, are the first run's
+    log = (work / "resumed" / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(line)["epoch"] for line in log] == [1, 1, 2, 2]
+    assert log[:2] == epoch1_log
+
+
 def test_predict_on_unlabelled_fasta(tmp_path):
     work = tmp_path
     assert run(["synth", "--out", work / "synth", "--seed", "2"] + TINY) == 0

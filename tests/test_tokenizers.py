@@ -1,14 +1,22 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taxossm.errors import ConfigError, ParseError
+from taxossm.records import IUPAC_ALPHABET
+from taxossm.seqdata import SynthConfig, synth_generate
 from taxossm.tokenizers import (
     BOS,
     EOS,
     PAD,
+    SPECIAL_NAMES,
     UNK,
+    Vocab,
+    _first_occurrence,
+    _pop_best,
     bpe_encode,
     bpe_train,
     char_encode,
@@ -19,6 +27,8 @@ from taxossm.tokenizers import (
     load_vocab,
     save_vocab,
 )
+
+IUPAC_LETTERS = "".join(sorted(IUPAC_ALPHABET))
 
 
 def ids_of(vocab, *tokens):
@@ -207,6 +217,133 @@ def test_bpe_round_trip_1000_random_strings(rng):
         assert decode(v, bpe_encode(v, s)) == s
 
 
+def lowest_rank_encode(vocab, sequence):
+    """Repeatedly apply the lowest-rank merge present, one left-to-right pass at a time."""
+    rank = {pair: r for r, pair in enumerate(vocab.merges)}
+    symbols = list(sequence)
+    while True:
+        present = [rank[p] for p in zip(symbols, symbols[1:]) if p in rank]
+        if not present:
+            break
+        a, b = vocab.merges[min(present)]
+        out, i = [], 0
+        while i < len(symbols):
+            if i < len(symbols) - 1 and symbols[i] == a and symbols[i + 1] == b:
+                out.append(a + b)
+                i += 2
+            else:
+                out.append(symbols[i])
+                i += 1
+        symbols = out
+    return [BOS] + [vocab.token_to_id.get(s, UNK) for s in symbols] + [EOS]
+
+
+@st.composite
+def barcode_text(draw, letters):
+    """Random letters, long homopolymer runs and short repeated units."""
+    pieces = draw(st.lists(st.one_of(
+        st.text(letters, max_size=12),
+        st.builds(lambda ch, n: ch * n, st.sampled_from(letters), st.integers(2, 16)),
+        st.builds(lambda unit, n: unit * n, st.text(letters, min_size=1, max_size=3),
+                  st.integers(2, 6)),
+    ), max_size=4))
+    return "".join(pieces)
+
+
+@st.composite
+def bpe_cases(draw):
+    letters = "".join(draw(st.lists(st.sampled_from(IUPAC_LETTERS), min_size=1, max_size=5,
+                                    unique=True)))
+    corpus = draw(st.lists(barcode_text(letters), min_size=1, max_size=6))
+    corpus += draw(st.lists(st.sampled_from(corpus), max_size=3))  # duplicate sequences
+    corpus = draw(st.permutations(corpus))
+    alphabet = set("".join(corpus))
+    # the upper end lies past exhaustion: training stops once no pair repeats
+    vocab_size = draw(st.integers(len(SPECIAL_NAMES) + len(alphabet),
+                                  len(SPECIAL_NAMES) + len(alphabet) + sum(map(len, corpus))))
+    queries = draw(st.lists(st.one_of(
+        st.sampled_from(corpus),
+        barcode_text(letters + "XZ"),        # letters the vocab lacks
+    ), min_size=1, max_size=3))
+    return corpus, vocab_size, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(bpe_cases())
+def test_bpe_train_and_encode_match_oracles(case):
+    corpus, vocab_size, queries = case
+    v = bpe_train(corpus, vocab_size)
+    assert v.merges == oracle_bpe_merges(corpus, vocab_size)
+    assert v.id_to_token == (list(SPECIAL_NAMES) + sorted(set("".join(corpus)))
+                             + [a + b for a, b in v.merges])
+    for q in queries:
+        assert bpe_encode(v, q).ids == naive_replay_encode(v, q)
+
+
+@st.composite
+def merge_lists(draw):
+    """Merge lists over known tokens in any order, as a vocab file may hold them,
+    including orders and repeats that bpe_train would not produce."""
+    letters = draw(st.lists(st.sampled_from("ACGT"), min_size=1, max_size=4, unique=True))
+    known = list(letters)
+    merges = []
+    for _ in range(draw(st.integers(0, 12))):
+        pair = (draw(st.sampled_from(known)), draw(st.sampled_from(known)))
+        merges.append(pair)
+        if pair[0] + pair[1] not in known:
+            known.append(pair[0] + pair[1])
+    table = {tok: i for i, tok in enumerate(list(SPECIAL_NAMES) + known)}
+    query = draw(barcode_text("".join(letters) + "N"))
+    return Vocab("bpe", table, merges=merges), query
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_lists())
+def test_bpe_encode_matches_lowest_rank_passes_for_any_merge_list(case):
+    vocab, query = case
+    assert bpe_encode(vocab, query).ids == lowest_rank_encode(vocab, query)
+
+
+def test_bpe_on_synthetic_barcodes_matches_oracles():
+    cfg = SynthConfig(rank_fanouts=(1, 1, 1, 1, 1, 2, 2), base_length=650, samples_per_species=3,
+                      seed=0)
+    corpus = [r.sequence for r in synth_generate(cfg)]
+    assert len(corpus) == 12
+    v = bpe_train(corpus, 128)
+    assert len(v) == 128 and len(v.merges) == 120
+    assert v.merges == oracle_bpe_merges(corpus, 128)
+    for s in corpus[:4]:
+        assert bpe_encode(v, s).ids == naive_replay_encode(v, s)
+
+
+def test_pop_best_breaks_a_full_tie_by_first_occurrence():
+    # token characters: A=1, B=2, AA=3, AB=4; ("A","AB") and ("AA","B") both
+    # spell AAB twice, and ("AA","B") occurs first although it sorts last
+    surface = ["", "A", "B", "AA", "AB"]
+    a_ab, aa_b, b_a = "\x01\x04", "\x03\x02", "\x02\x01"
+    counts = {a_ab: 2, aa_b: 2, b_a: 1}
+    first = {aa_b: (0, 0), a_ab: (1, 0)}
+
+    def key(pair, count):
+        return (-count, surface[ord(pair[0])] + surface[ord(pair[1])], pair)
+
+    heap = [key(a_ab, 2), key(aa_b, 2), key(b_a, 3)]  # (B, A) has fallen to 1
+    heapq.heapify(heap)
+    assert _pop_best(heap, counts, key, first.__getitem__) == aa_b
+    assert _pop_best(heap, counts, key, first.__getitem__) == a_ab  # the loser went back
+    assert _pop_best(heap, counts, key, first.__getitem__) is None  # no pair occurs twice
+
+
+def test_first_occurrence_follows_corpus_order_across_multiplicities():
+    # corpus order: 0 "xy" (once), 1 "ab" (twice), 2 "zab" (once)
+    streams = {1: "\0xy\0zab\0", 2: "\0ab\0"}
+    seq_index = {1: [0, 2], 2: [1]}
+    assert _first_occurrence(streams, seq_index, "ab") == (1, 0)
+    assert _first_occurrence(streams, seq_index, "xy") == (0, 0)
+    assert _first_occurrence(streams, seq_index, "za") == (2, 0)
+    assert _first_occurrence({1: "\0xy\0zab\0"}, {1: [0, 1]}, "ab") == (1, 1)
+
+
 def test_char_round_trip_1000_random_strings(rng):
     v = char_vocab()
     bases = np.array(list("ACGT"))
@@ -281,3 +418,41 @@ def test_vocab_load_rejects_corrupted_merges(tmp_path, rng):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError):
         load_vocab(path)
+
+
+@pytest.mark.parametrize("kind_line", [
+    "#KIND",
+    "#KIND kmer",
+    "#KIND kmer x",
+    "#KIND kmer 0",
+    "#KIND foo",
+    "#KIND bpe extra",
+])
+def test_vocab_load_rejects_bad_kind_line(tmp_path, kind_line):
+    path = tmp_path / "v.vocab"
+    save_vocab(bpe_train(["ACGTACGT"] * 3, 10), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([kind_line] + lines[1:]) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_vocab(path)
+    assert err.value.path == path and err.value.line == 1
+
+
+def test_vocab_load_rejects_non_ascii_bytes(tmp_path):
+    path = tmp_path / "v.vocab"
+    save_vocab(bpe_train(["ACGTACGT"] * 3, 10), path)
+    path.write_bytes(path.read_bytes().replace(b"\nA\n", b"\n\xc3\x84\n"))
+    with pytest.raises(ParseError) as err:
+        load_vocab(path)
+    assert err.value.path == path
+
+
+def test_vocab_load_rejects_repeated_token(tmp_path):
+    path = tmp_path / "v.vocab"
+    save_vocab(kmer_vocab(2), path)
+    lines = path.read_text().splitlines()
+    lines[6] = lines[5]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_vocab(path)
+    assert err.value.path == path

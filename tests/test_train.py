@@ -334,8 +334,14 @@ def test_pretrain_resumes_from_last_old_after_crash_between_renames(tmp_path):
 
     half_cfg = TrainConfig(stage="pretrain", max_epochs=1, batch_size=16, seed=3, patience=10)
     pretrain(train_recs, val_recs, vocab, mcfg, half_cfg, tmp_path / "resumed")
-    # what a kill between `last` -> `last.old` and `tmp` -> `last` leaves behind
+    epoch1_log = (tmp_path / "resumed" / "metrics.jsonl").read_text().splitlines()
+    # what a kill between `last` -> `last.old` and `tmp` -> `last` of epoch 2's
+    # checkpoint leaves behind: epoch 2 is in the log, its checkpoint is not
     (tmp_path / "resumed" / "last").replace(tmp_path / "resumed" / "last.old")
+    full_log = (tmp_path / "full" / "metrics.jsonl").read_text().splitlines()
+    with open(tmp_path / "resumed" / "metrics.jsonl", "a") as fh:
+        fh.writelines(line + "\n" for line in full_log if json.loads(line)["epoch"] == 2)
+        fh.write('{"epoch": 3, "spl')  # and a line torn by the kill
     resumed = pretrain(train_recs, val_recs, vocab, mcfg, full_cfg,
                        tmp_path / "resumed", resume=True)
 
@@ -343,9 +349,27 @@ def test_pretrain_resumes_from_last_old_after_crash_between_renames(tmp_path):
     _assert_checkpoints_bitwise_equal(tmp_path / "full" / "final",
                                       tmp_path / "resumed" / "final")
     assert not (tmp_path / "resumed" / "last.old").exists()
-    # a silent restart reproduces the same numbers, so check epoch 1 ran only once
+    # epoch 2's lines from before the kill are replaced by the rerun's
+    def epochs_and_splits(log):
+        return [(e["epoch"], e["split"]) for e in map(json.loads, log)]
+
     log = (tmp_path / "resumed" / "metrics.jsonl").read_text().splitlines()
-    assert [json.loads(line)["epoch"] for line in log] == [1, 1, 2, 2]
+    expected = [(1, "train"), (1, "val"), (2, "train"), (2, "val")]
+    assert epochs_and_splits(full_log) == epochs_and_splits(log) == expected
+    # a silent restart reproduces the same numbers, so check that epoch 1 ran
+    # only once: its lines, wall times included, are the first run's
+    assert log[:2] == epoch1_log
+
+
+def test_fresh_run_replaces_an_old_metrics_log(tmp_path):
+    train_recs, val_recs, _ = _synth_split()
+    vocab = bpe_train([r.sequence for r in train_recs], 12)
+    cfg = TrainConfig(stage="pretrain", max_epochs=1, batch_size=16, seed=3, patience=10)
+    pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, tmp_path)
+    pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, tmp_path)
+    log = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    assert [(json.loads(line)["epoch"], json.loads(line)["split"]) for line in log] == [
+        (1, "train"), (1, "val")]
 
 
 @pytest.mark.parametrize("split", ["train", "val"])
