@@ -6,10 +6,8 @@ happens here.
 """
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -112,13 +110,12 @@ def bpe_train(corpus: list[str], vocab_size: int) -> Vocab:
     without overlap, so a run of equal tokens merges pairwise from its left
     end. Single-threaded and deterministic.
 
-    Each distinct sequence is held once, weighted by its multiplicity: token id
-    i is the character chr(i) (so at most 1,114,111 tokens), and the sequences
-    of one multiplicity form one string, separated by chr(0). A merge is one
-    `str.replace` per string. Pair counts live in a dict and change only
-    around the merged positions; the next merge comes from a lazy max-heap
-    keyed by (-count, concatenation) that holds only the pairs counted at
-    least twice.
+    The corpus is held as one string in corpus order: token id i is the
+    character chr(i) (so at most 1,114,111 tokens), with chr(0) around each
+    sequence. A merge is one `str.replace`. Pair counts live in a dict and
+    change only around the merged positions; the next merge comes from a lazy
+    max-heap keyed by (-count, concatenation) that holds only the pairs counted
+    at least twice.
     """
     if not corpus:
         raise ConfigError("bpe_train needs a non-empty corpus")
@@ -134,22 +131,12 @@ def bpe_train(corpus: list[str], vocab_size: int) -> Vocab:
     surface = [_SEP] + alphabet                   # token chr(i) spells surface[i]
     char_of = {tok: chr(i) for i, tok in enumerate(surface) if i}
 
-    # multiplicity -> its sequences' corpus indices, in first-occurrence order,
-    # and the string holding them, with a separator before and after each
-    distinct = list(Counter(corpus).items())
-    seq_index: dict[int, list[int]] = {}
-    for k, (_, weight) in enumerate(distinct):
-        seq_index.setdefault(weight, []).append(k)
     table = str.maketrans(char_of)
-    streams = {
-        weight: _SEP + _SEP.join(distinct[k][0].translate(table) for k in ks) + _SEP
-        for weight, ks in seq_index.items()
+    stream = _SEP + _SEP.join(seq.translate(table) for seq in corpus) + _SEP
+    counts: dict[str, int] = {                    # two-character pair -> count
+        x + y: c for (x, y), c in Counter(zip(stream, stream[1:])).items()
+        if x != _SEP and y != _SEP
     }
-    counts: dict[str, int] = {}                   # two-character pair -> weighted count
-    for weight, stream in streams.items():
-        for (x, y), c in Counter(zip(stream, stream[1:])).items():
-            if x != _SEP and y != _SEP:
-                counts[x + y] = counts.get(x + y, 0) + c * weight
 
     def key(pair: str, count: int):
         return (-count, surface[ord(pair[0])] + surface[ord(pair[1])], pair)
@@ -159,10 +146,9 @@ def bpe_train(corpus: list[str], vocab_size: int) -> Vocab:
     # that fell is pushed again at that count when it comes up (_pop_best)
     heap = [key(pair, c) for pair, c in counts.items() if c >= 2]
     heapq.heapify(heap)
-    first_at = functools.partial(_first_occurrence, streams, seq_index)
 
     while len(tokens) < vocab_size:
-        best = _pop_best(heap, counts, key, first_at)
+        best = _pop_best(heap, counts, key, lambda pair: stream.find(pair))
         if best is None:
             break
         a, b = best
@@ -174,32 +160,27 @@ def bpe_train(corpus: list[str], vocab_size: int) -> Vocab:
             new = char_of[merged] = chr(len(surface))
             surface.append(merged)
 
-        delta: Counter = Counter()
-        for weight, stream in streams.items():
-            at = array("q")
-            i = stream.find(best)
-            while i >= 0:
-                at.append(i)
-                i = stream.find(best, i + 2)
-            if not at:
-                continue
-            lefts = Counter(map(stream.__getitem__, map((-1).__add__, at)))
-            rights = Counter(map(stream.__getitem__, map((2).__add__, at)))
-            # where two occurrences touch, the pair between them is (b, a) before
-            # and (new, new) after: count it once, as the left one of the second
-            touching = sum(j - i == 2 for i, j in itertools.pairwise(at))
-            rights[a] -= touching
-            for x, n in lefts.items():
-                if x != _SEP:
-                    delta[x + a] -= weight * n
-                    delta[x + new] += weight * (n - touching if x == b else n)
-            delta[new + new] += weight * touching
-            for y, n in rights.items():
-                if y != _SEP:
-                    delta[b + y] -= weight * n
-                    delta[new + y] += weight * n
-            delta[best] -= weight * len(at)
-            streams[weight] = stream.replace(best, new)
+        at = []
+        i = stream.find(best)
+        while i >= 0:
+            at.append(i)
+            i = stream.find(best, i + 2)
+        lefts = Counter(stream[i - 1] for i in at)
+        rights = Counter(stream[i + 2] for i in at)
+        # where two occurrences touch, the pair between them is (b, a) before
+        # and (new, new) after: count it once, as the left one of the second
+        touching = sum(j - i == 2 for i, j in itertools.pairwise(at))
+        rights[a] -= touching
+        delta: Counter = Counter({best: -len(at), new + new: touching})
+        for x, n in lefts.items():
+            if x != _SEP:
+                delta[x + a] -= n
+                delta[x + new] += n - touching if x == b else n
+        for y, n in rights.items():
+            if y != _SEP:
+                delta[b + y] -= n
+                delta[new + y] += n
+        stream = stream.replace(best, new)
 
         for pair, d in delta.items():
             c = counts.get(pair, 0) + d
@@ -212,21 +193,9 @@ def bpe_train(corpus: list[str], vocab_size: int) -> Vocab:
     return Vocab("bpe", tokens, merges=merges)
 
 
-def _first_occurrence(streams: dict[int, str], seq_index: dict[int, list[int]],
-                      pair: str) -> tuple[int, int]:
-    """(corpus index of the first sequence holding `pair`, its position there)."""
-    found = []
-    for weight, stream in streams.items():
-        i = stream.find(pair)
-        if i >= 0:
-            seq = seq_index[weight][stream.count(_SEP, 0, i) - 1]
-            found.append((seq, i - stream.rfind(_SEP, 0, i) - 1))
-    return min(found)
-
-
 def _pop_best(heap: list, counts: dict, key, first_at):
     """Pop the pair to merge next: the highest count of at least two, then the
-    smallest concatenation, then the first occurrence (`first_at`).
+    smallest concatenation, then the smallest `first_at` (its first position).
 
     An entry above its pair's current count is pushed again at that count if it
     is still at least two; an entry below it is a leftover, since the rise

@@ -15,7 +15,6 @@ from taxossm.tokenizers import (
     SPECIAL_NAMES,
     UNK,
     Vocab,
-    _first_occurrence,
     _pop_best,
     bpe_encode,
     bpe_train,
@@ -332,16 +331,6 @@ def test_pop_best_breaks_a_full_tie_by_first_occurrence():
     assert _pop_best(heap, counts, key, first.__getitem__) == aa_b
     assert _pop_best(heap, counts, key, first.__getitem__) == a_ab  # the loser went back
     assert _pop_best(heap, counts, key, first.__getitem__) is None  # no pair occurs twice
-
-
-def test_first_occurrence_follows_corpus_order_across_multiplicities():
-    # corpus order: 0 "xy" (once), 1 "ab" (twice), 2 "zab" (once)
-    streams = {1: "\0xy\0zab\0", 2: "\0ab\0"}
-    seq_index = {1: [0, 2], 2: [1]}
-    assert _first_occurrence(streams, seq_index, "ab") == (1, 0)
-    assert _first_occurrence(streams, seq_index, "xy") == (0, 0)
-    assert _first_occurrence(streams, seq_index, "za") == (2, 0)
-    assert _first_occurrence({1: "\0xy\0zab\0"}, {1: [0, 1]}, "ab") == (1, 1)
 
 
 def test_char_round_trip_1000_random_strings(rng):
