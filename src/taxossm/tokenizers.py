@@ -148,7 +148,7 @@ def bpe_train(corpus: list[str], vocab_size: int) -> Vocab:
     heapq.heapify(heap)
 
     while len(tokens) < vocab_size:
-        best = _pop_best(heap, counts, key, lambda pair: stream.find(pair))
+        best = _pop_best(heap, counts, key, stream)
         if best is None:
             break
         a, b = best
@@ -193,9 +193,9 @@ def bpe_train(corpus: list[str], vocab_size: int) -> Vocab:
     return Vocab("bpe", tokens, merges=merges)
 
 
-def _pop_best(heap: list, counts: dict, key, first_at):
+def _pop_best(heap: list, counts: dict, key, stream: str):
     """Pop the pair to merge next: the highest count of at least two, then the
-    smallest concatenation, then the smallest `first_at` (its first position).
+    smallest concatenation, then the first occurrence in `stream`.
 
     An entry above its pair's current count is pushed again at that count if it
     is still at least two; an entry below it is a leftover, since the rise
@@ -224,7 +224,7 @@ def _pop_best(heap: list, counts: dict, key, first_at):
             tied[entry[2]] = entry
     if len(tied) == 1:
         return top[2]
-    best = min(tied, key=first_at)
+    best = min(tied, key=stream.find)
     for pair, entry in tied.items():
         if pair != best:
             heapq.heappush(heap, entry)

@@ -321,16 +321,16 @@ def test_pop_best_breaks_a_full_tie_by_first_occurrence():
     surface = ["", "A", "B", "AA", "AB"]
     a_ab, aa_b, b_a = "\x01\x04", "\x03\x02", "\x02\x01"
     counts = {a_ab: 2, aa_b: 2, b_a: 1}
-    first = {aa_b: (0, 0), a_ab: (1, 0)}
+    stream = "\0" + aa_b + "\0" + a_ab + "\0" + aa_b + a_ab + "\0"
 
     def key(pair, count):
         return (-count, surface[ord(pair[0])] + surface[ord(pair[1])], pair)
 
     heap = [key(a_ab, 2), key(aa_b, 2), key(b_a, 3)]  # (B, A) has fallen to 1
     heapq.heapify(heap)
-    assert _pop_best(heap, counts, key, first.__getitem__) == aa_b
-    assert _pop_best(heap, counts, key, first.__getitem__) == a_ab  # the loser went back
-    assert _pop_best(heap, counts, key, first.__getitem__) is None  # no pair occurs twice
+    assert _pop_best(heap, counts, key, stream) == aa_b
+    assert _pop_best(heap, counts, key, stream) == a_ab  # the loser went back
+    assert _pop_best(heap, counts, key, stream) is None  # no pair occurs twice
 
 
 def test_char_round_trip_1000_random_strings(rng):
