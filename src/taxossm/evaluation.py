@@ -96,21 +96,19 @@ def evaluate(
             continue
         truths_arr = np.asarray(truths)
         preds_arr = np.asarray(preds)
-        correct = int((truths_arr == preds_arr).sum())
-        classes = sorted(set(truths))
-        precisions = []
-        recalls = []
-        for c in classes:
-            tp = int(((preds_arr == c) & (truths_arr == c)).sum())
-            pred_pos = int((preds_arr == c).sum())
-            true_pos = int((truths_arr == c).sum())
-            precisions.append(tp / pred_pos if pred_pos else 0.0)
-            recalls.append(tp / true_pos)
+        n = taxonomy_train.n_classes(r)
+        if preds_arr.min() < 0 or preds_arr.max() >= n:
+            raise ContractError(f"{RANKS[r]} predictions must be class indices in [0, {n})")
+        true_pos = np.bincount(truths_arr, minlength=n)
+        pred_pos = np.bincount(preds_arr, minlength=n)
+        tp = np.bincount(truths_arr[truths_arr == preds_arr], minlength=n)
+        present = true_pos > 0
+        precision = np.divide(tp, pred_pos, out=np.zeros(n), where=pred_pos > 0)
         report.append(
             RankMetrics(
-                micro_accuracy=correct / support,
-                macro_precision=float(np.mean(precisions)),
-                macro_recall=float(np.mean(recalls)),
+                micro_accuracy=int(tp.sum()) / support,
+                macro_precision=float(np.mean(precision[present])),
+                macro_recall=float(np.mean(tp[present] / true_pos[present])),
                 support=support,
                 excluded_unseen=excluded,
             )

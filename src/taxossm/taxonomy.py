@@ -1,4 +1,4 @@
-"""Seven-rank class registry with lift matrices, class weights and smoothed targets."""
+"""Seven-rank class registry with ancestor tables, class weights and smoothed targets."""
 from __future__ import annotations
 
 import json
@@ -17,8 +17,9 @@ LIFT_MODES = ("sum", "argmax_path")
 class Taxonomy:
     """Per-rank class registries plus parent links and training-set frequencies.
 
-    `parent[r][i]` is the index of class i of rank r within rank r-1; the lift
-    matrix of rank r maps species indices to their rank-r ancestors and is
+    `parent[r][i]` is the index of class i of rank r within rank r-1.
+    `ancestors[r]` has shape (n_classes(r), r + 1) and column k holds each
+    rank-r class's rank-k ancestor (column r is the class itself); it is
     rebuilt from the parent arrays, never serialized.
     """
 
@@ -26,60 +27,24 @@ class Taxonomy:
     parent: list[np.ndarray]  # parent[0] is empty
     freq_per_rank: list[np.ndarray]
     index_per_rank: list[dict[str, int]] = field(init=False)
+    ancestors: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
         self.index_per_rank = [
             {name: i for i, name in enumerate(names)} for names in self.names_per_rank
         ]
-        self._lifts: dict[int, np.ndarray] = {}
+        self.ancestors = [np.arange(self.n_classes(0), dtype=np.int64)[:, None]]
+        for r in range(1, N_RANKS):
+            self.ancestors.append(np.column_stack([
+                self.ancestors[r - 1][self.parent[r]],
+                np.arange(self.n_classes(r), dtype=np.int64),
+            ]))
 
     def n_classes(self, rank: int) -> int:
         return len(self.names_per_rank[rank])
 
     def class_counts(self) -> list[int]:
         return [self.n_classes(r) for r in range(N_RANKS)]
-
-    def ancestor(self, rank: int, index: int, target_rank: int) -> int:
-        """Index of the target_rank ancestor of class `index` at `rank`."""
-        if target_rank > rank:
-            raise ConfigError(f"target rank {target_rank} is below rank {rank}")
-        i = index
-        for r in range(rank, target_rank, -1):
-            i = int(self.parent[r][i])
-        return i
-
-    def ancestor_path(self, rank: int, index: int) -> list[int]:
-        """Ancestor indices from kingdom (inclusive) down to `rank` (inclusive)."""
-        path = [index]
-        i = index
-        for r in range(rank, 0, -1):
-            i = int(self.parent[r][i])
-            path.append(i)
-        return path[::-1]
-
-    def lift_matrix(self, rank: int) -> np.ndarray:
-        """Binary (n_species x n_classes_at_rank) matrix; each row has exactly one 1."""
-        if rank not in self._lifts:
-            n_species = self.n_classes(N_RANKS - 1)
-            m = np.zeros((n_species, self.n_classes(rank)), dtype=np.float64)
-            for s in range(n_species):
-                m[s, self.ancestor(N_RANKS - 1, s, rank)] = 1.0
-            self._lifts[rank] = m
-        return self._lifts[rank]
-
-    def label_indices(self, label: TaxonomicLabel) -> list[int | None]:
-        """Per-rank class indices for a label; None where unlabelled."""
-        out: list[int | None] = []
-        for r in range(N_RANKS):
-            name = label.ranks[r]
-            if name is None:
-                out.append(None)
-                continue
-            idx = self.index_per_rank[r].get(name)
-            if idx is None:
-                raise ConfigError(f"unknown {RANKS[r]} class '{name}'")
-            out.append(idx)
-        return out
 
     def to_json(self) -> str:
         payload = {
@@ -90,16 +55,31 @@ class Taxonomy:
         return json.dumps(payload)
 
     @classmethod
-    def from_json(cls, text: str) -> "Taxonomy":
+    def from_json(cls, text: str, path=None) -> "Taxonomy":
+        """Parse a serialized taxonomy; a malformed one raises ParseError naming `path`."""
         try:
             payload = json.loads(text)
-            return cls(
-                names_per_rank=payload["names_per_rank"],
-                parent=[np.asarray(a, dtype=np.int64) for a in payload["parent"]],
-                freq_per_rank=[np.asarray(a, dtype=np.int64) for a in payload["freq_per_rank"]],
-            )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise ParseError(f"bad taxonomy payload: {exc}") from exc
+            names = list(payload["names_per_rank"])
+            parent = [_int_array(a) for a in payload["parent"]]
+            freq = [_int_array(a) for a in payload["freq_per_rank"]]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"bad taxonomy payload: {exc}", path=path) from exc
+        if not len(names) == len(parent) == len(freq) == N_RANKS:
+            raise ParseError(f"taxonomy must list {N_RANKS} ranks", path=path)
+        for r in range(N_RANKS):
+            if not (isinstance(names[r], list) and all(isinstance(x, str) for x in names[r])
+                    and len(set(names[r])) == len(names[r])):
+                raise ParseError(f"{RANKS[r]} names must be a list of distinct strings", path=path)
+            n = len(names[r])
+            n_links = n if r > 0 else 0
+            if parent[r].shape != (n_links,) or freq[r].shape != (n,):
+                raise ParseError(
+                    f"{RANKS[r]}: {n} names need {n_links} parent links and {n} "
+                    f"frequencies, got shapes {parent[r].shape} and {freq[r].shape}", path=path)
+            if n_links and not (parent[r].min() >= 0 and parent[r].max() < len(names[r - 1])):
+                raise ParseError(
+                    f"{RANKS[r]}: parent index outside [0, {len(names[r - 1])})", path=path)
+        return cls(names_per_rank=names, parent=parent, freq_per_rank=freq)
 
     def save(self, path):
         with open(path, "w", encoding="ascii") as fh:
@@ -107,8 +87,19 @@ class Taxonomy:
 
     @classmethod
     def load(cls, path) -> "Taxonomy":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.from_json(fh.read())
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"non-ASCII byte at offset {exc.start}", path=path) from None
+        return cls.from_json(text, path)
+
+
+def _int_array(values) -> np.ndarray:
+    """int64 array of a JSON list of integers; TypeError for any other entry."""
+    if not all(type(v) is int for v in values):
+        raise TypeError(f"expected a list of integers, got {values!r:.60}")
+    return np.array(values, dtype=np.int64)
 
 
 @dataclass
@@ -194,24 +185,6 @@ def class_weights(taxonomy: Taxonomy) -> ClassWeights:
     return ClassWeights(per_rank)
 
 
-def shared_ancestor_depth(taxonomy: Taxonomy, rank: int, a: int, b: int) -> int:
-    """Depth of the deepest ancestor rank two classes at `rank` share, kingdom = 1.
-
-    Zero when they share nothing (distinct kingdoms); at most `rank` for
-    distinct classes at 0-based rank `rank`.
-    """
-    if a == b:
-        return rank + 1
-    pa = taxonomy.ancestor_path(rank, a)
-    pb = taxonomy.ancestor_path(rank, b)
-    depth = 0
-    for x, y in zip(pa, pb):
-        if x != y:
-            break
-        depth += 1
-    return depth
-
-
 def _smooth_at_rank(taxonomy: Taxonomy, rank: int, y: int, mode: str, epsilon: float) -> np.ndarray:
     n = taxonomy.n_classes(rank)
     q = np.zeros(n, dtype=np.float64)
@@ -223,10 +196,11 @@ def _smooth_at_rank(taxonomy: Taxonomy, rank: int, y: int, mode: str, epsilon: f
         q[y] = 1.0 - epsilon
         return q
     # hierarchical: spread epsilon proportionally to shared-ancestor depth
-    s = np.array(
-        [0.0 if c == y else shared_ancestor_depth(taxonomy, rank, c, y) for c in range(n)],
-        dtype=np.float64,
-    )
+    # (kingdom = 1); two classes that differ at one rank differ at every rank
+    # below it, so the depth is the number of ancestors they share
+    anc = taxonomy.ancestors[rank]
+    s = (anc == anc[y]).sum(axis=1).astype(np.float64)
+    s[y] = 0.0
     total = s.sum()
     if total == 0.0:
         q[:] = epsilon / (n - 1)
@@ -254,27 +228,20 @@ def smooth_target(
         raise ConfigError(f"epsilon must be in [0,1), got {epsilon}")
     depth = label.depth
     per_rank: list[np.ndarray | None] = [None] * N_RANKS
-    mask = [False] * N_RANKS
+    mask = (True,) * depth + (False,) * (N_RANKS - depth)
     if depth == 0:
-        return TargetDistribution(per_rank, tuple(mask))
+        return TargetDistribution(per_rank, mask)
 
     deepest = depth - 1
     y = taxonomy.index_per_rank[deepest].get(label.ranks[deepest])
     if y is None:
         raise ConfigError(f"unknown {RANKS[deepest]} class '{label.ranks[deepest]}'")
-    q = _smooth_at_rank(taxonomy, deepest, y, mode, epsilon)
-    per_rank[deepest] = q
-    mask[deepest] = True
-    true_index: list[int | None] = [None] * N_RANKS
-    true_index[deepest] = y
+    per_rank[deepest] = _smooth_at_rank(taxonomy, deepest, y, mode, epsilon)
     for r in range(deepest - 1, -1, -1):
-        child = per_rank[r + 1]
-        lifted = np.zeros(taxonomy.n_classes(r), dtype=np.float64)
-        np.add.at(lifted, taxonomy.parent[r + 1], child)
-        per_rank[r] = lifted
-        mask[r] = True
-        true_index[r] = taxonomy.ancestor(deepest, y, r)
-    return TargetDistribution(per_rank, tuple(mask), tuple(true_index))
+        per_rank[r] = np.bincount(
+            taxonomy.parent[r + 1], weights=per_rank[r + 1], minlength=taxonomy.n_classes(r))
+    true_index = tuple(taxonomy.ancestors[deepest][y].tolist()) + (None,) * (N_RANKS - depth)
+    return TargetDistribution(per_rank, mask, true_index)
 
 
 def truncate_to_known(taxonomy: Taxonomy, label: TaxonomicLabel) -> TaxonomicLabel:
@@ -302,8 +269,8 @@ def lift_species_probs(
 ) -> list[np.ndarray]:
     """Derive all seven rank distributions from species probabilities.
 
-    "sum" pushes probability mass through the lift matrices; "argmax_path"
-    puts all mass on the ancestors of the most probable species.
+    "sum" adds each species' probability to its ancestor at every rank;
+    "argmax_path" puts all mass on the ancestors of the most probable species.
     """
     if mode not in LIFT_MODES:
         raise ConfigError(f"mode must be one of {LIFT_MODES}, got '{mode}'")
@@ -311,19 +278,19 @@ def lift_species_probs(
     n_species = taxonomy.n_classes(N_RANKS - 1)
     if probs.shape != (n_species,):
         raise ShapeError(f"species_probs shape {probs.shape} != ({n_species},)")
+    if not np.isfinite(probs).all() or (probs < 0).any():
+        raise ConfigError("species_probs must be finite and non-negative")
     if abs(float(probs.sum()) - 1.0) > 1e-6:
         raise ConfigError(f"species_probs must sum to 1, got {probs.sum()!r}")
 
-    out: list[np.ndarray] = []
+    anc = taxonomy.ancestors[N_RANKS - 1]
     if mode == "sum":
-        for r in range(N_RANKS - 1):
-            out.append(probs @ taxonomy.lift_matrix(r))
-        out.append(probs.copy())
-    else:
-        best = int(np.argmax(probs))
-        path = taxonomy.ancestor_path(N_RANKS - 1, best)
-        for r in range(N_RANKS):
-            v = np.zeros(taxonomy.n_classes(r), dtype=np.float64)
-            v[path[r]] = 1.0
-            out.append(v)
+        return [np.bincount(anc[:, r], weights=probs, minlength=taxonomy.n_classes(r))
+                for r in range(N_RANKS)]
+    path = anc[int(np.argmax(probs))]
+    out: list[np.ndarray] = []
+    for r in range(N_RANKS):
+        v = np.zeros(taxonomy.n_classes(r), dtype=np.float64)
+        v[path[r]] = 1.0
+        out.append(v)
     return out

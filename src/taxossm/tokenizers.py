@@ -357,6 +357,13 @@ def load_vocab(path) -> Vocab:
     vocab = Vocab(kind, {tok: i for i, tok in enumerate(tokens)}, merges=merges, kmer_k=kmer_k)
     if kind == "bpe":
         _check_replay(vocab, path)
+    elif kind == "char" and tokens != char_vocab().id_to_token:
+        raise ParseError("token table differs from the char vocabulary", path=path)
+    # 4**k has 2k+1 bits, so the length check bounds k by the file's size
+    # before a k-mer table is built
+    elif kind == "kmer" and ((len(tokens) - N_SPECIALS).bit_length() != 2 * kmer_k + 1
+                             or tokens != kmer_vocab(kmer_k).id_to_token):
+        raise ParseError(f"token table differs from the {kmer_k}-mer vocabulary", path=path)
     return vocab
 
 

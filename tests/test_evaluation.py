@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from taxossm.errors import ConfigError, ContractError, DegenerateVarianceError
 from taxossm.evaluation import (
+    RankMetrics,
     TimingResult,
     besthit_classify,
     besthit_similarity,
@@ -123,6 +124,79 @@ def test_evaluate_matches_brute_force_on_200_random_cases(rng):
         assert m.micro_accuracy == acc
         assert abs(m.macro_precision - prec) < 1e-12
         assert abs(m.macro_recall - rec) < 1e-12
+
+
+def loop_rank_metrics(predictions, labels, taxonomy_train):
+    """Per-rank metrics by scanning every record once per class (the reference for evaluate)."""
+    report = []
+    for r in range(N_RANKS):
+        truths = []
+        preds = []
+        excluded = 0
+        for i, label in enumerate(labels):
+            name = label.ranks[r]
+            if name is None:
+                continue
+            idx = taxonomy_train.index_per_rank[r].get(name)
+            if idx is None:
+                excluded += 1
+                continue
+            truths.append(idx)
+            preds.append(int(predictions[i, r]))
+        support = len(truths)
+        if support == 0:
+            report.append(RankMetrics(0.0, 0.0, 0.0, 0, excluded))
+            continue
+        truths_arr = np.asarray(truths)
+        preds_arr = np.asarray(preds)
+        correct = int((truths_arr == preds_arr).sum())
+        precisions = []
+        recalls = []
+        for c in sorted(set(truths)):
+            tp = int(((preds_arr == c) & (truths_arr == c)).sum())
+            pred_pos = int((preds_arr == c).sum())
+            true_pos = int((truths_arr == c).sum())
+            precisions.append(tp / pred_pos if pred_pos else 0.0)
+            recalls.append(tp / true_pos)
+        report.append(RankMetrics(correct / support, float(np.mean(precisions)),
+                                  float(np.mean(recalls)), support, excluded))
+    return report
+
+
+def test_evaluate_equals_per_class_loop_on_random_cases(rng):
+    fanouts = (1, 2, 2, 2, 2, 3, 3)
+
+    def label_of(path, depth):
+        return make_label(*[f"{r}_{'_'.join(map(str, path[:r + 1]))}" for r in range(depth)])
+
+    missed_true_classes = 0
+    for _ in range(300):
+        # labels come from 40 lineages, the training taxonomy from a prefix of
+        # them (so some are unseen), and labels stop at a random depth
+        paths = [tuple(int(rng.integers(0, f)) for f in fanouts) for _ in range(40)]
+        taxo = build_taxonomy([BarcodeRecord(f"t{i}", "ACGT", label_of(p, N_RANKS))
+                               for i, p in enumerate(paths[:int(rng.integers(1, 40))])])
+        n = int(rng.integers(1, 60))
+        labels = [label_of(paths[int(rng.integers(0, 40))], int(rng.integers(0, N_RANKS + 1)))
+                  for _ in range(n)]
+        preds = np.zeros((n, N_RANKS), dtype=np.int64)
+        for r in range(N_RANKS):
+            # predictions drawn from a few classes leave other true classes unpredicted
+            pool = rng.integers(0, taxo.n_classes(r), size=int(rng.integers(1, 4)))
+            preds[:, r] = rng.choice(pool, size=n)
+            truths = {taxo.index_per_rank[r].get(lab.ranks[r]) for lab in labels} - {None}
+            missed_true_classes += len(truths - set(preds[:, r].tolist()))
+        assert evaluate(preds, labels, taxo).per_rank == loop_rank_metrics(preds, labels, taxo)
+    assert missed_true_classes > 0
+
+
+def test_evaluate_rejects_predictions_outside_the_taxonomy():
+    taxo, labels, a, b = two_class_setup()
+    for bad in (-1, 2):
+        preds = np.zeros((4, N_RANKS), dtype=np.int64)
+        preds[0, 6] = bad
+        with pytest.raises(ContractError):
+            evaluate(preds, labels, taxo)
 
 
 def test_evaluate_micro_accuracy_invariant_under_relabeling(rng):

@@ -1,20 +1,48 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from taxossm.errors import ConfigError, ShapeError, TaxonomyConflictError
+from taxossm.errors import ConfigError, ParseError, ShapeError, TaxonomyConflictError
 from taxossm.records import BarcodeRecord, N_RANKS, TaxonomicLabel, make_label
 from taxossm.seqdata import SynthConfig, synth_generate
 from taxossm.taxonomy import (
+    LIFT_MODES,
     Taxonomy,
     build_taxonomy,
     class_weights,
     lift_species_probs,
-    shared_ancestor_depth,
     smooth_target,
     truncate_to_known,
 )
 
 from conftest import toy_records
+
+
+def walk_ancestor(taxo, rank, index, target_rank):
+    """Index of the target_rank ancestor of class `index` at `rank`, by walking `parent`."""
+    for r in range(rank, target_rank, -1):
+        index = int(taxo.parent[r][index])
+    return index
+
+
+def shared_ancestor_depth(taxo, rank, a, b):
+    """Depth of the deepest ancestor rank two classes at `rank` share, kingdom = 1.
+
+    Zero when they share nothing (distinct kingdoms); at most `rank` for
+    distinct classes at 0-based rank `rank`.
+    """
+    if a == b:
+        return rank + 1
+    pa = [walk_ancestor(taxo, rank, a, k) for k in range(rank + 1)]
+    pb = [walk_ancestor(taxo, rank, b, k) for k in range(rank + 1)]
+    depth = 0
+    for x, y in zip(pa, pb):
+        if x != y:
+            break
+        depth += 1
+    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -23,9 +51,10 @@ from conftest import toy_records
 
 def test_build_toy_counts(toy_taxonomy):
     assert toy_taxonomy.class_counts() == [1, 1, 1, 1, 1, 2, 3]
+    anc = toy_taxonomy.ancestors[6]
+    assert anc.shape == (3, N_RANKS)
     for r in range(N_RANKS):
-        m = toy_taxonomy.lift_matrix(r)
-        assert np.array_equal(m.sum(axis=1), np.ones(3))
+        assert ((anc[:, r] >= 0) & (anc[:, r] < toy_taxonomy.n_classes(r))).all()
 
 
 def test_build_partial_label_contributes_to_shallow_ranks():
@@ -54,9 +83,22 @@ def test_build_rejects_prefix_violation():
 def test_ancestor_paths(toy_taxonomy):
     ia = toy_taxonomy.index_per_rank[6]["A"]
     ic = toy_taxonomy.index_per_rank[6]["C"]
-    assert toy_taxonomy.ancestor(6, ia, 5) == toy_taxonomy.index_per_rank[5]["g1"]
-    assert toy_taxonomy.ancestor(6, ic, 5) == toy_taxonomy.index_per_rank[5]["g2"]
-    assert toy_taxonomy.ancestor_path(6, ia) == [0, 0, 0, 0, 0, 0, ia]
+    g1, g2 = toy_taxonomy.index_per_rank[5]["g1"], toy_taxonomy.index_per_rank[5]["g2"]
+    anc = toy_taxonomy.ancestors[6]
+    assert anc[ia, 5] == walk_ancestor(toy_taxonomy, 6, ia, 5) == g1
+    assert anc[ic, 5] == walk_ancestor(toy_taxonomy, 6, ic, 5) == g2
+    assert anc[ia].tolist() == [0, 0, 0, 0, 0, 0, ia]
+
+
+def test_ancestors_match_parent_walk_over_random_taxonomies():
+    for seed in range(20):
+        taxo, _, _ = _random_taxonomy_and_labels(seed)
+        for r in range(N_RANKS):
+            assert taxo.ancestors[r].shape == (taxo.n_classes(r), r + 1)
+            assert taxo.ancestors[r].dtype == np.int64
+            for c in range(taxo.n_classes(r)):
+                assert taxo.ancestors[r][c].tolist() == [
+                    walk_ancestor(taxo, r, c, k) for k in range(r + 1)]
 
 
 def test_taxonomy_json_round_trip(toy_taxonomy):
@@ -65,7 +107,67 @@ def test_taxonomy_json_round_trip(toy_taxonomy):
     assert all(np.array_equal(a, b) for a, b in zip(back.parent, toy_taxonomy.parent))
     assert all(np.array_equal(a, b)
                for a, b in zip(back.freq_per_rank, toy_taxonomy.freq_per_rank))
-    assert np.array_equal(back.lift_matrix(5), toy_taxonomy.lift_matrix(5))
+    assert all(np.array_equal(a, b) for a, b in zip(back.ancestors, toy_taxonomy.ancestors))
+
+
+def _corrupt(payload, case):
+    if case == "parent out of range":
+        payload["parent"][6][1] = 2
+    elif case == "negative parent":
+        payload["parent"][6][0] = -1
+    elif case == "parent short":
+        payload["parent"][6].pop()
+    elif case == "freq short":
+        payload["freq_per_rank"][5].pop()
+    elif case == "kingdom has a parent":
+        payload["parent"][0] = [0]
+    elif case == "rank missing":
+        for key in payload:
+            payload[key].pop()
+    elif case == "parent not an integer":
+        payload["parent"][3] = ["x"]
+    elif case == "parent a float":
+        payload["parent"][6] = [0.5, 0, 1]
+    elif case == "name repeated":
+        payload["names_per_rank"][6][2] = "A"
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("case", [
+    "parent out of range",
+    "negative parent",
+    "parent short",
+    "freq short",
+    "kingdom has a parent",
+    "rank missing",
+    "parent not an integer",
+    "parent a float",
+    "name repeated",
+])
+def test_taxonomy_load_rejects_corrupt_file(toy_taxonomy, tmp_path, case):
+    path = tmp_path / "taxonomy.json"
+    path.write_text(_corrupt(json.loads(toy_taxonomy.to_json()), case))
+    with pytest.raises(ParseError) as err:
+        Taxonomy.load(path)
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", "{}"])
+def test_taxonomy_load_rejects_malformed_json(tmp_path, text):
+    path = tmp_path / "taxonomy.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        Taxonomy.load(path)
+    assert err.value.path == path
+
+
+def test_taxonomy_load_rejects_non_ascii_bytes(toy_taxonomy, tmp_path):
+    path = tmp_path / "taxonomy.json"
+    toy_taxonomy.save(path)
+    path.write_bytes(path.read_bytes().replace(b'"g1"', b'"g\xc3\xa9"'))
+    with pytest.raises(ParseError) as err:
+        Taxonomy.load(path)
+    assert err.value.path == path
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +314,7 @@ def brute_force_rank_target(taxo, rank, label, epsilon):
     q_species[y_species] = 1.0 - epsilon
     out = np.zeros(taxo.n_classes(rank))
     for c in range(n_species):
-        out[taxo.ancestor(6, c, rank)] += q_species[c]
+        out[walk_ancestor(taxo, 6, c, rank)] += q_species[c]
     return out
 
 
@@ -287,6 +389,48 @@ def test_lift_rejects_bad_inputs(toy_taxonomy):
         lift_species_probs(toy_taxonomy, np.array([0.5, 0.5]), "sum")
     with pytest.raises(ConfigError):
         lift_species_probs(toy_taxonomy, np.array([0.5, 0.5, 0.0]) * 1.5, "sum")
+    for bad in ([np.nan, 0.5, 0.5], [1.5, -0.5, 0.0], [np.inf, 0.5, 0.5]):
+        for mode in ("sum", "argmax_path"):
+            with pytest.raises(ConfigError):
+                lift_species_probs(toy_taxonomy, np.array(bad), mode)
+
+
+def _wide_records(n_species=10_000):
+    """One record per species: four species to a genus, ten genera to a family,
+    five families to an order, five orders to a class, two classes to a phylum."""
+    records = []
+    for s in range(n_species):
+        g = s // 4
+        f = g // 10
+        o = f // 5
+        c = o // 5
+        records.append(BarcodeRecord(f"r{s}", "ACGT", make_label(
+            "k", f"p{c // 2}", f"c{c}", f"o{o}", f"f{f}", f"g{g}", f"s{s}")))
+    return records
+
+
+def test_wide_taxonomy_builds_no_species_by_class_array():
+    # a dense species x genus float64 matrix alone would take 10^4 * 2,500 * 8 B = 191 MiB
+    records = _wide_records()
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        taxo = build_taxonomy(records)
+        for i in rng.integers(0, len(records), size=200):
+            tgt = smooth_target(taxo, records[i].label, "hierarchical", 0.1)
+            assert all(abs(q.sum() - 1.0) < 1e-9 for q in tgt.per_rank)
+        p = rng.random(taxo.n_classes(6))
+        p /= p.sum()
+        for mode in LIFT_MODES:
+            assert all(abs(v.sum() - 1.0) < 1e-9 for v in lift_species_probs(taxo, p, mode))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert taxo.class_counts() == [1, 5, 10, 50, 250, 2_500, 10_000]
+    assert peak < 32 * 2**20
+    for s in rng.choice(10_000, size=100, replace=False):
+        assert taxo.ancestors[6][s].tolist() == [
+            walk_ancestor(taxo, 6, int(s), k) for k in range(N_RANKS)]
 
 
 # ---------------------------------------------------------------------------

@@ -445,3 +445,29 @@ def test_vocab_load_rejects_repeated_token(tmp_path):
     with pytest.raises(ParseError) as err:
         load_vocab(path)
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("vocab, old, new", [
+    (kmer_vocab(2), "AA", "ZZ"),
+    (char_vocab(), "T", "U"),
+])
+def test_vocab_load_rejects_edited_token_table(tmp_path, vocab, old, new):
+    path = tmp_path / "v.vocab"
+    save_vocab(vocab, path)
+    lines = path.read_text().splitlines()
+    lines[lines.index(old)] = new
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_vocab(path)
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("kind_line", ["#KIND kmer 3", "#KIND kmer 30", "#KIND kmer 1000000000"])
+def test_vocab_load_rejects_kmer_size_that_disagrees_with_the_table(tmp_path, kind_line):
+    path = tmp_path / "v.vocab"
+    save_vocab(kmer_vocab(2), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([kind_line] + lines[1:]) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_vocab(path)
+    assert err.value.path == path
