@@ -512,8 +512,8 @@ def save_tensor(path, arr: np.ndarray):
 
 
 def load_tensor(path) -> np.ndarray:
-    """Inverse of save_tensor; a missing header or a payload whose size disagrees
-    with it raises ParseError naming the file."""
+    """Inverse of save_tensor; a missing header, an unknown dtype token or a
+    payload whose size disagrees with the header raises ParseError naming the file."""
     with open(path, "rb") as fh:
         try:
             token, *dims = fh.readline().decode("ascii").split()
@@ -521,7 +521,7 @@ def load_tensor(path) -> np.ndarray:
         except ValueError as exc:  # empty file, non-ASCII or non-integer header
             raise ParseError(f"malformed tensor header ({exc})", path=path) from None
         if token not in _TOKEN_DTYPES:
-            raise ShapeError(f"unknown dtype token '{token}' in {path}")
+            raise ParseError(f"unknown dtype token '{token}'", path=path)
         raw = fh.read()
     dtype = np.dtype(_TOKEN_DTYPES[token])
     expected = dtype.itemsize * math.prod(dims)

@@ -30,6 +30,11 @@ from .records import N_RANKS
 HEAD_MODES = ("multi", "single")
 
 
+def head_ranks(head_mode: str) -> tuple[int, ...]:
+    """Ranks with a classification head: all seven (multi) or species only (single)."""
+    return tuple(range(N_RANKS)) if head_mode == "multi" else (N_RANKS - 1,)
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -235,8 +240,7 @@ def add_classification_heads(state: ModelState, class_counts: list[int], seed: i
     rng = np.random.default_rng(seed)
     dtype = state.params["embedding"].data.dtype
     d = state.config.d_model
-    ranks = range(N_RANKS) if state.config.head_mode == "multi" else (N_RANKS - 1,)
-    for r in ranks:
+    for r in head_ranks(state.config.head_mode):
         if class_counts[r] < 1:
             raise ConfigError(f"rank {r} has no classes; cannot build a head")
         state.params[f"heads.{r}.w"] = _normal(rng, (d, class_counts[r]), 0.02, dtype)
@@ -261,8 +265,7 @@ def param_count(cfg: ModelConfig, class_counts: list[int] | None = None,
     if include_lm_head:
         total += d * V
     if class_counts is not None:
-        ranks = range(N_RANKS) if cfg.head_mode == "multi" else (N_RANKS - 1,)
-        total += sum(d * class_counts[r] + class_counts[r] for r in ranks)
+        total += sum(d * class_counts[r] + class_counts[r] for r in head_ranks(cfg.head_mode))
     return total
 
 
@@ -333,8 +336,7 @@ def classify(state: ModelState, hidden: Tensor, pad_mask: np.ndarray) -> list[Te
         nc.tsum(nc.mul(hidden, Tensor(mask[:, :, None])), axis=1),
         Tensor((1.0 / counts)[:, None].astype(hidden.data.dtype)),
     )
-    ranks = range(N_RANKS) if state.config.head_mode == "multi" else (N_RANKS - 1,)
     return [
         nc.add(nc.matmul(pooled, state.params[f"heads.{r}.w"]), state.params[f"heads.{r}.b"])
-        for r in ranks
+        for r in head_ranks(state.config.head_mode)
     ]

@@ -1,8 +1,13 @@
-"""Losses, AdamW, pretraining and fine-tuning loops, checkpoints.
+"""Losses, AdamW, the epoch loop every training stage shares, checkpoints.
 
 Training is logically single threaded and fully deterministic: one seeded
 generator drives shuffling, all accumulation orders are fixed, and checkpoints
 round-trip parameters, optimizer moments and the generator state bitwise.
+
+`pretrain` and `finetune` set up a model and the loss of one batch; one epoch
+loop (`_fit`) runs every stage with its optimizer, shuffling, early stopping,
+metrics log and checkpoints. A resume refuses a checkpoint of another model,
+taxonomy or vocabulary.
 """
 from __future__ import annotations
 
@@ -17,7 +22,13 @@ import numpy as np
 
 from . import numcore as nc
 from . import ssm
-from .errors import CompatibilityError, ConfigError, EmptyDatasetError, NumericDomainError
+from .errors import (
+    CompatibilityError,
+    ConfigError,
+    EmptyDatasetError,
+    NumericDomainError,
+    ParseError,
+)
 from .numcore import Tensor
 from .records import N_RANKS
 from .taxonomy import (
@@ -142,16 +153,13 @@ def weighted_cross_entropy(
     logits: list[Tensor],
     targets: list[TargetDistribution],
     weights: ClassWeights | None = None,
-    enabled: bool = False,
     head_mode: str = "multi",
 ) -> tuple[Tensor, int]:
     """Per sample: mean over its labelled ranks of -sum q*log softmax(z), each rank
-    term scaled by the true class's weight when `enabled`. Batch loss is the mean
-    over samples; fully unlabelled samples contribute zero and are counted.
+    term scaled by the true class's weight unless `weights` is None. Batch loss is
+    the mean over samples; fully unlabelled samples contribute zero and are counted.
     """
-    if enabled and weights is None:
-        raise ConfigError("weighted loss requested without ClassWeights")
-    ranks = list(range(N_RANKS)) if head_mode == "multi" else [N_RANKS - 1]
+    ranks = ssm.head_ranks(head_mode)
     if len(logits) != len(ranks):
         raise ConfigError(f"{len(ranks)} heads expected, got {len(logits)} logit tensors")
     n = len(targets)
@@ -170,9 +178,7 @@ def weighted_cross_entropy(
             if not tgt.mask[r]:
                 continue
             q[i] = tgt.per_rank[r]
-            w = 1.0
-            if enabled:
-                w = float(weights.per_rank[r][tgt.true_index[r]])
+            w = 1.0 if weights is None else float(weights.per_rank[r][tgt.true_index[r]])
             scale[i] = w / denom[i]
         logp = nc.log_softmax(logits[head], axis=-1)
         contrib = nc.tsum(nc.mul(nc.mul(logp, Tensor(q)), Tensor(scale[:, None])))
@@ -189,8 +195,14 @@ class Checkpoint:
 
     def __init__(self, directory):
         self.dir = Path(directory)
-        with open(self.dir / "manifest.json", "r", encoding="ascii") as fh:
-            self.manifest = json.load(fh)
+        path = self.dir / "manifest.json"
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                self.manifest = json.load(fh)
+        except ValueError as exc:  # torn JSON or non-ASCII bytes
+            raise ParseError(f"unreadable checkpoint manifest ({exc})", path=path) from None
+        if not isinstance(self.manifest, dict):
+            raise ParseError("checkpoint manifest is not a JSON object", path=path)
 
     def load_arrays(self, group: str) -> dict[str, np.ndarray]:
         out = {}
@@ -312,45 +324,120 @@ def _check_finite(loss: float, epoch: int, split: str):
         raise NumericDomainError(f"epoch {epoch}: non-finite {split} loss {loss}")
 
 
-def _run_loop(
-    *,
-    state: ssm.ModelState,
-    opt: AdamW,
-    cfg: TrainConfig,
-    model_cfg: ssm.ModelConfig,
-    out_dir: Path,
-    vocab: Vocab,
-    taxonomy: Taxonomy | None,
-    train_step,   # (batch indices) -> (loss float, denominator int)
-    val_pass,     # () -> float
-    rng: np.random.Generator,
-    loop: _LoopState,
-    best_params: dict[str, np.ndarray] | None,
-    n_train: int,
-    manifest_base: dict,
-) -> Checkpoint:
-    log = _MetricsLog(out_dir / "metrics.jsonl")
-    log.keep_through(loop.epoch)
-    started = time.monotonic()
+def _weighted_mean(step, batches) -> float:
+    """Mean of the losses `step(batch)` returns as (float, weight) over `batches`."""
+    total, denom = 0.0, 0
+    for batch in batches:
+        value, weight = step(batch)
+        total += value * weight
+        denom += weight
+    return total / max(denom, 1)
+
+
+def _tokenizer_key(vocab: Vocab) -> tuple:
+    return vocab.kind, vocab.kmer_k, vocab.token_to_id, vocab.merges
+
+
+def _check_resumable(ckpt: Checkpoint, state: ssm.ModelState, vocab: Vocab,
+                     taxonomy: Taxonomy | None):
+    """Refuse a checkpoint of another model, taxonomy or vocabulary before any
+    of its arrays is loaded."""
+    saved, run = ckpt.manifest["model_config"], asdict(state.config)
+    mismatches = [f"model_config.{key}: checkpoint {saved.get(key)} != run {run.get(key)}"
+                  for key in sorted(saved.keys() | run.keys()) if saved.get(key) != run.get(key)]
+    saved_counts = ckpt.manifest.get("class_counts")
+    if saved_counts != state.class_counts:
+        mismatches.append(f"class_counts: checkpoint {saved_counts} != run {state.class_counts}")
+    elif taxonomy is not None and ckpt.load_taxonomy().to_json() != taxonomy.to_json():
+        mismatches.append("taxonomy: checkpoint taxonomy differs from the run's")
+    if _tokenizer_key(ckpt.load_vocab()) != _tokenizer_key(vocab):
+        mismatches.append("tokenizer: checkpoint vocabulary differs from the run's")
+    if mismatches:
+        raise CompatibilityError(f"cannot resume from {ckpt.dir}: " + "; ".join(mismatches))
+
+
+def _resume(out_dir: Path, state: ssm.ModelState, vocab: Vocab, taxonomy: Taxonomy | None,
+            opt: AdamW, rng: np.random.Generator, loop: _LoopState):
+    """Load `last` into the run; returns its best parameters, or None without one."""
+    last = out_dir / "last"
+    if not (last / "manifest.json").exists():
+        # a crash between the two renames in _write_checkpoint leaves only last.old
+        last = out_dir / "last.old"
+    if not (last / "manifest.json").exists():
+        return None
+    ckpt = Checkpoint(last)
+    _check_resumable(ckpt, state, vocab, taxonomy)
+    for name, arr in ckpt.load_arrays("params").items():
+        state.params[name].data = arr
+    opt.m = ckpt.load_arrays("opt_m")
+    opt.v = ckpt.load_arrays("opt_v")
+    opt.t = ckpt.manifest["adam_step"]
+    rng.bit_generator.state = ckpt.manifest["rng_state"]
+    loop.epoch = ckpt.manifest["epoch"]
+    loop.history = ckpt.manifest["history"]
+    loop.best_epoch = ckpt.manifest["best_epoch"]
+    loop.best_val = ckpt.manifest["best_val_loss"]
+    loop.bad_epochs = ckpt.manifest["bad_epochs"]
+    return ckpt.load_arrays("best")
+
+
+def _fit(state: ssm.ModelState, cfg: TrainConfig, out_dir, vocab: Vocab,
+         taxonomy: Taxonomy | None, resume: bool, n_train: int, n_val: int,
+         batch_loss) -> Checkpoint:
+    """The epoch loop of every stage. Each epoch takes one AdamW step per shuffled
+    training batch, then a validation pass, logs both losses, updates early
+    stopping and writes `last`; `final` then holds the best epoch's parameters.
+
+    `batch_loss(split, indices)` returns the scalar loss tensor of the records
+    `indices` of `split` ("train" or "val") and its weight in the epoch mean.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    opt = AdamW(state.params, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps,
+                cfg.weight_decay, state.norm_param_names)
+    rng = np.random.default_rng(cfg.seed)
+    loop = _LoopState()
+    best_params = _resume(out_dir, state, vocab, taxonomy, opt, rng, loop) if resume else None
     if best_params is None:
         best_params = _snapshot(state.params)
+    log = _MetricsLog(out_dir / "metrics.jsonl")
+    log.keep_through(loop.epoch)
 
+    def manifest(epoch):
+        return {
+            "stage": cfg.stage, "model_config": asdict(state.config),
+            "train_config": asdict(cfg), "norm_param_names": sorted(state.norm_param_names),
+            "class_counts": state.class_counts, "epoch": epoch, "history": loop.history,
+            "best_epoch": loop.best_epoch, "best_val_loss": loop.best_val,
+            "bad_epochs": loop.bad_epochs, "adam_step": opt.t,
+            "rng_state": rng.bit_generator.state,
+        }
+
+    # both steps return floats, so no batch's autograd graph outlives its step
+    def train_step(batch):
+        opt.zero_grad()
+        loss, weight = batch_loss("train", batch)
+        nc.backward(loss)
+        opt.step()
+        return float(loss.data), weight
+
+    def val_step(batch):
+        loss, weight = batch_loss("val", batch)
+        return float(loss.data), weight
+
+    started = time.monotonic()
     while loop.epoch < cfg.max_epochs:
         epoch = loop.epoch + 1
         t0 = time.monotonic()
         order = rng.permutation(n_train)
-        total, denom = 0.0, 0
-        for batch in _batch_iter(n_train, cfg.batch_size, order):
-            loss_value, weight = train_step(batch)
-            total += loss_value * weight
-            denom += weight
-        train_loss = total / max(denom, 1)
+        train_loss = _weighted_mean(train_step, _batch_iter(n_train, cfg.batch_size, order))
         _check_finite(train_loss, epoch, "train")
         log.write(epoch=epoch, split="train", loss=train_loss, lr=cfg.lr,
                   wall_ms=1000.0 * (time.monotonic() - t0))
 
         t0 = time.monotonic()
-        val_loss = val_pass()
+        with nc.no_grad():
+            val_loss = _weighted_mean(val_step, _batch_iter(n_val, cfg.batch_size))
         _check_finite(val_loss, epoch, "val")
         log.write(epoch=epoch, split="val", loss=val_loss, lr=cfg.lr,
                   wall_ms=1000.0 * (time.monotonic() - t0))
@@ -365,60 +452,17 @@ def _run_loop(
         else:
             loop.bad_epochs += 1
 
-        manifest = dict(manifest_base)
-        manifest.update(
-            epoch=loop.epoch, history=loop.history, best_epoch=loop.best_epoch,
-            best_val_loss=loop.best_val, bad_epochs=loop.bad_epochs, adam_step=opt.t,
-            rng_state=rng.bit_generator.state,
-        )
-        _write_checkpoint(
-            out_dir / "last",
-            manifest,
-            {
-                "params": {k: p.data for k, p in state.params.items()},
-                "opt_m": opt.m,
-                "opt_v": opt.v,
-                "best": best_params,
-            },
-            vocab,
-            taxonomy,
-        )
+        groups = {"params": {k: p.data for k, p in state.params.items()},
+                  "opt_m": opt.m, "opt_v": opt.v, "best": best_params}
+        _write_checkpoint(out_dir / "last", manifest(epoch), groups, vocab, taxonomy)
         if _stop_early(loop, cfg.patience):
             break
         if cfg.wall_clock_limit is not None and time.monotonic() - started > cfg.wall_clock_limit:
             break
 
-    final_manifest = dict(manifest_base)
-    final_manifest.update(
-        epoch=loop.best_epoch, history=loop.history, best_epoch=loop.best_epoch,
-        best_val_loss=loop.best_val, bad_epochs=loop.bad_epochs, adam_step=opt.t,
-        rng_state=rng.bit_generator.state,
-    )
-    _write_checkpoint(out_dir / "final", final_manifest, {"params": best_params}, vocab, taxonomy)
+    _write_checkpoint(out_dir / "final", manifest(loop.best_epoch), {"params": best_params},
+                      vocab, taxonomy)
     return Checkpoint(out_dir / "final")
-
-
-def _resume_if_requested(out_dir: Path, resume: bool, state: ssm.ModelState, opt: AdamW,
-                         rng: np.random.Generator, loop: _LoopState):
-    last = Path(out_dir) / "last"
-    if not (last / "manifest.json").exists():
-        # a crash between the two renames in _write_checkpoint leaves only last.old
-        last = last.parent / "last.old"
-    if not resume or not (last / "manifest.json").exists():
-        return None
-    ckpt = Checkpoint(last)
-    for name, arr in ckpt.load_arrays("params").items():
-        state.params[name].data = arr
-    opt.m = ckpt.load_arrays("opt_m")
-    opt.v = ckpt.load_arrays("opt_v")
-    opt.t = ckpt.manifest["adam_step"]
-    rng.bit_generator.state = ckpt.manifest["rng_state"]
-    loop.epoch = ckpt.manifest["epoch"]
-    loop.history = ckpt.manifest["history"]
-    loop.best_epoch = ckpt.manifest["best_epoch"]
-    loop.best_val = ckpt.manifest["best_val_loss"]
-    loop.bad_epochs = ckpt.manifest["bad_epochs"]
-    return ckpt.load_arrays("best")
 
 
 def pretrain(
@@ -435,48 +479,16 @@ def pretrain(
         raise ConfigError(f"pretrain called with stage '{cfg.stage}'")
     if not train_records or not val_records:
         raise EmptyDatasetError("pretrain needs non-empty train and validation sets")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_tokens = _encode_all(train_records, vocab, model_cfg.max_len)
-    val_tokens = _encode_all(val_records, vocab, model_cfg.max_len)
-
+    splits = {"train": train_records, "val": val_records}
+    tokens = {s: _encode_all(recs, vocab, model_cfg.max_len) for s, recs in splits.items()}
     state = ssm.init_model(model_cfg, seed=cfg.seed)
-    opt = AdamW(state.params, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps,
-                cfg.weight_decay, state.norm_param_names)
-    rng = np.random.default_rng(cfg.seed)
-    loop = _LoopState()
-    best = _resume_if_requested(out_dir, resume, state, opt, rng, loop)
 
-    def train_step(batch):
-        ids, mask = pad_batch([train_tokens[i] for i in batch])
-        opt.zero_grad()
-        loss, n_valid = lm_loss(state, ids, mask)
-        nc.backward(loss)
-        opt.step()
-        return float(loss.data), n_valid
+    def batch_loss(split, indices):
+        ids, mask = pad_batch([tokens[split][i] for i in indices])
+        return lm_loss(state, ids, mask)
 
-    def val_pass():
-        total, count = 0.0, 0
-        with nc.no_grad():
-            for batch in _batch_iter(len(val_tokens), cfg.batch_size):
-                ids, mask = pad_batch([val_tokens[i] for i in batch])
-                loss, n_valid = lm_loss(state, ids, mask)
-                total += float(loss.data) * n_valid
-                count += n_valid
-        return total / max(count, 1)
-
-    manifest = {
-        "stage": "pretrain",
-        "model_config": asdict(model_cfg),
-        "train_config": asdict(cfg),
-        "norm_param_names": sorted(state.norm_param_names),
-        "class_counts": None,
-    }
-    return _run_loop(
-        state=state, opt=opt, cfg=cfg, model_cfg=model_cfg, out_dir=out_dir, vocab=vocab,
-        taxonomy=None, train_step=train_step, val_pass=val_pass, rng=rng, loop=loop,
-        best_params=best, n_train=len(train_tokens), manifest_base=manifest,
-    )
+    return _fit(state, cfg, out_dir, vocab, None, resume,
+                len(train_records), len(val_records), batch_loss)
 
 
 def _check_compatible(ckpt: Checkpoint, model_cfg: ssm.ModelConfig, vocab: Vocab):
@@ -485,9 +497,7 @@ def _check_compatible(ckpt: Checkpoint, model_cfg: ssm.ModelConfig, vocab: Vocab
     for key, value in model_cfg.backbone_fields().items():
         if saved.get(key) != value:
             mismatches.append(f"{key}: checkpoint {saved.get(key)} != requested {value}")
-    ckpt_vocab = ckpt.load_vocab()
-    if (ckpt_vocab.kind, ckpt_vocab.kmer_k, ckpt_vocab.token_to_id, ckpt_vocab.merges) != (
-            vocab.kind, vocab.kmer_k, vocab.token_to_id, vocab.merges):
+    if _tokenizer_key(ckpt.load_vocab()) != _tokenizer_key(vocab):
         mismatches.append("tokenizer: checkpoint vocabulary differs from the provided one")
     if mismatches:
         raise CompatibilityError("; ".join(mismatches))
@@ -516,8 +526,6 @@ def finetune(
         raise ConfigError(f"finetune called with stage '{cfg.stage}'")
     if not train_records or not val_records:
         raise EmptyDatasetError("finetune needs non-empty train and validation sets")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     ckpt = None
     if cfg.stage == "finetune":
@@ -542,59 +550,20 @@ def finetune(
     ssm.add_classification_heads(state, taxonomy.class_counts(), seed=cfg.seed)
     weights = compute_class_weights(taxonomy) if cfg.weighted_loss else None
 
-    train_tokens = _encode_all(train_records, vocab, model_cfg.max_len)
-    val_tokens = _encode_all(val_records, vocab, model_cfg.max_len)
-    train_targets = [
-        smooth_target(taxonomy, truncate_to_known(taxonomy, r.label),
-                      cfg.smoothing_mode, cfg.epsilon)
-        for r in train_records
-    ]
-    val_targets = [
-        smooth_target(taxonomy, truncate_to_known(taxonomy, r.label),
-                      cfg.smoothing_mode, cfg.epsilon)
-        for r in val_records
-    ]
-
-    opt = AdamW(state.params, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps,
-                cfg.weight_decay, state.norm_param_names)
-    rng = np.random.default_rng(cfg.seed)
-    loop = _LoopState()
-    best = _resume_if_requested(out_dir, resume, state, opt, rng, loop)
-
-    def classification_loss(token_batch, target_batch):
-        ids, mask = pad_batch(token_batch)
-        hidden = ssm.model_forward(state, ids, mask)
-        logits = ssm.classify(state, hidden, mask)
-        return weighted_cross_entropy(
-            logits, target_batch, weights, cfg.weighted_loss, cfg.head_mode)
-
-    def train_step(batch):
-        opt.zero_grad()
-        loss, _ = classification_loss(
-            [train_tokens[i] for i in batch], [train_targets[i] for i in batch])
-        nc.backward(loss)
-        opt.step()
-        return float(loss.data), len(batch)
-
-    def val_pass():
-        total, count = 0.0, 0
-        with nc.no_grad():
-            for batch in _batch_iter(len(val_tokens), cfg.batch_size):
-                loss, _ = classification_loss(
-                    [val_tokens[i] for i in batch], [val_targets[i] for i in batch])
-                total += float(loss.data) * len(batch)
-                count += len(batch)
-        return total / max(count, 1)
-
-    manifest = {
-        "stage": cfg.stage,
-        "model_config": asdict(model_cfg),
-        "train_config": asdict(cfg),
-        "norm_param_names": sorted(state.norm_param_names),
-        "class_counts": taxonomy.class_counts(),
+    splits = {"train": train_records, "val": val_records}
+    tokens = {s: _encode_all(recs, vocab, model_cfg.max_len) for s, recs in splits.items()}
+    targets = {
+        s: [smooth_target(taxonomy, truncate_to_known(taxonomy, r.label),
+                          cfg.smoothing_mode, cfg.epsilon) for r in recs]
+        for s, recs in splits.items()
     }
-    return _run_loop(
-        state=state, opt=opt, cfg=cfg, model_cfg=model_cfg, out_dir=out_dir, vocab=vocab,
-        taxonomy=taxonomy, train_step=train_step, val_pass=val_pass, rng=rng, loop=loop,
-        best_params=best, n_train=len(train_tokens), manifest_base=manifest,
-    )
+
+    def batch_loss(split, indices):
+        ids, mask = pad_batch([tokens[split][i] for i in indices])
+        logits = ssm.classify(state, ssm.model_forward(state, ids, mask), mask)
+        loss, _ = weighted_cross_entropy(
+            logits, [targets[split][i] for i in indices], weights, cfg.head_mode)
+        return loss, len(indices)
+
+    return _fit(state, cfg, out_dir, vocab, taxonomy, resume,
+                len(train_records), len(val_records), batch_loss)

@@ -179,7 +179,7 @@ def test_c05_weighting_correctness():
         assert np.abs(weights.per_rank[0] - np.array([4 / 3, 2 / 3])).max() < 1e-12
         target = smooth_target(taxo, make_label("k0"), "none", 0.0)
         logits = [Tensor(np.zeros((1, 2), dtype=np.float64)) for _ in range(7)]
-        loss, _ = weighted_cross_entropy(logits, [target], weights, True, "multi")
+        loss, _ = weighted_cross_entropy(logits, [target], weights, "multi")
         assert abs(float(loss.data) - (4 / 3) * np.log(2.0)) < 1e-9
 
 

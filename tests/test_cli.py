@@ -255,6 +255,23 @@ def test_cli_resume_matches_uninterrupted_run(tmp_path, command):
     assert log[:2] == epoch1_log
 
 
+@pytest.mark.parametrize("manifest", [b'{"model_config": {"vocab_si', b"[1, 2]", b"{\xff}"],
+                         ids=["torn", "not_an_object", "non_ascii"])
+def test_predict_with_a_corrupt_checkpoint_manifest_names_it(tmp_path, capsys, manifest):
+    final = tmp_path / "ckpt" / "final"
+    final.mkdir(parents=True)
+    (final / "manifest.json").write_bytes(manifest)
+    bare = tmp_path / "bare.fasta"
+    bare.write_text(">q1\nACGTACGTACGTACGTACGTACGT\n")
+    code = run(["predict", "--out", tmp_path / "pred",
+                "--set", f"paths.checkpoint={tmp_path / 'ckpt'}",
+                "--set", f"paths.input_fasta={bare}"] + TINY)
+    assert code != 0
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ParseError"
+    assert str(final / "manifest.json") in payload["message"]
+
+
 def test_predict_on_unlabelled_fasta(tmp_path):
     work = tmp_path
     assert run(["synth", "--out", work / "synth", "--seed", "2"] + TINY) == 0

@@ -244,7 +244,8 @@ def test_tensor_dump_round_trip(tmp_path, rng):
     lambda raw: raw[:-3],          # truncated payload
     lambda raw: raw + b"\x00" * 4,  # extra trailing bytes
     lambda raw: b"",               # empty file
-], ids=["truncated", "trailing_bytes", "empty"])
+    lambda raw: b"f16 2\n" + b"\x00" * 4,  # unknown dtype token
+], ids=["truncated", "trailing_bytes", "empty", "unknown_dtype"])
 def test_load_tensor_corrupt_file_raises_parse_error_naming_it(tmp_path, corrupt):
     path = tmp_path / "w.bin"
     nc.save_tensor(path, np.arange(6, dtype=np.float32).reshape(2, 3))

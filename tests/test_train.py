@@ -16,7 +16,7 @@ from taxossm.errors import (
 from taxossm.numcore import Tensor
 from taxossm.records import BarcodeRecord, make_label
 from taxossm.seqdata import SynthConfig, split_dataset, synth_generate
-from taxossm.taxonomy import build_taxonomy, class_weights, smooth_target
+from taxossm.taxonomy import Taxonomy, build_taxonomy, class_weights, smooth_target
 from taxossm.tokenizers import bpe_train, char_vocab
 from taxossm.train import (
     AdamW,
@@ -128,7 +128,7 @@ def test_wce_uniform_logits_unweighted(toy_taxonomy):
     target = smooth_target(toy_taxonomy, toy_records()[0].label, "none", 0.0)
     logits = [Tensor(np.zeros((1, toy_taxonomy.n_classes(r)), dtype=np.float64))
               for r in range(7)]
-    loss, skipped = weighted_cross_entropy(logits, [target], None, False, "multi")
+    loss, skipped = weighted_cross_entropy(logits, [target], None, "multi")
     # ranks 0..4 have one class (ln 1 = 0), genus ln 2, species ln 3; mean of 7
     expected = (np.log(2.0) + np.log(3.0)) / 7.0
     assert abs(float(loss.data) - expected) < 1e-9
@@ -148,7 +148,7 @@ def test_wce_two_class_weighted_worked_example():
     assert np.allclose(weights.per_rank[0], [4 / 3, 2 / 3])
     target = smooth_target(taxo, make_label("k0"), "none", 0.0)
     logits = [Tensor(np.zeros((1, 2), dtype=np.float64)) for _ in range(7)]
-    loss, _ = weighted_cross_entropy(logits, [target], weights, True, "multi")
+    loss, _ = weighted_cross_entropy(logits, [target], weights, "multi")
     assert abs(float(loss.data) - (4 / 3) * np.log(2.0)) < 1e-9
 
 
@@ -158,8 +158,8 @@ def test_wce_epsilon_zero_matches_none_mode(toy_taxonomy, rng):
     t_hier = smooth_target(toy_taxonomy, label, "hierarchical", 0.0)
     logits = [Tensor(rng.normal(size=(1, toy_taxonomy.n_classes(r))), dtype=np.float64)
               for r in range(7)]
-    l1, _ = weighted_cross_entropy(logits, [t_none], None, False, "multi")
-    l2, _ = weighted_cross_entropy(logits, [t_hier], None, False, "multi")
+    l1, _ = weighted_cross_entropy(logits, [t_none], None, "multi")
+    l2, _ = weighted_cross_entropy(logits, [t_hier], None, "multi")
     assert float(l1.data) == float(l2.data)
 
 
@@ -167,7 +167,7 @@ def test_wce_fully_masked_sample_counts(toy_taxonomy):
     blank = smooth_target(toy_taxonomy, make_label(), "none", 0.0)
     logits = [Tensor(np.zeros((1, toy_taxonomy.n_classes(r)), dtype=np.float64))
               for r in range(7)]
-    loss, skipped = weighted_cross_entropy(logits, [blank], None, False, "multi")
+    loss, skipped = weighted_cross_entropy(logits, [blank], None, "multi")
     assert float(loss.data) == 0.0 and skipped == 1
 
 
@@ -181,7 +181,8 @@ def test_wce_weighting_scales_gradient_without_rotating_it(toy_taxonomy, rng):
 
     def grads(enabled):
         logits = [Tensor(x.copy(), requires_grad=True, dtype=np.float64) for x in raw]
-        loss, _ = weighted_cross_entropy(logits, [target], weights, enabled, "multi")
+        loss, _ = weighted_cross_entropy(
+            logits, [target], weights if enabled else None, "multi")
         nc.backward(loss)
         return [l.grad.copy() for l in logits]
 
@@ -195,7 +196,7 @@ def test_wce_weighting_scales_gradient_without_rotating_it(toy_taxonomy, rng):
 def test_wce_single_head_uses_species_only(toy_taxonomy):
     target = smooth_target(toy_taxonomy, toy_records()[0].label, "none", 0.0)
     logits = [Tensor(np.zeros((1, 3), dtype=np.float64))]
-    loss, _ = weighted_cross_entropy(logits, [target], None, False, "single")
+    loss, _ = weighted_cross_entropy(logits, [target], None, "single")
     assert abs(float(loss.data) - np.log(3.0)) < 1e-9
 
 
@@ -204,7 +205,7 @@ def test_wce_unweighted_unsmoothed_equals_plain_cross_entropy(toy_taxonomy, rng)
     target = smooth_target(toy_taxonomy, label, "none", 0.0)
     raw = [rng.normal(size=(1, toy_taxonomy.n_classes(r))) for r in range(7)]
     logits = [Tensor(x, dtype=np.float64) for x in raw]
-    loss, _ = weighted_cross_entropy(logits, [target], None, False, "multi")
+    loss, _ = weighted_cross_entropy(logits, [target], None, "multi")
     manual = 0.0
     for r in range(7):
         z = raw[r][0]
@@ -242,7 +243,7 @@ def test_wce_loss_nonnegative(toy_taxonomy, rng):
                                float(rng.uniform(0, 0.5)))
         logits = [Tensor(rng.normal(size=(1, toy_taxonomy.n_classes(r))), dtype=np.float64)
                   for r in range(7)]
-        loss, _ = weighted_cross_entropy(logits, [target], None, False, "multi")
+        loss, _ = weighted_cross_entropy(logits, [target], None, "multi")
         assert float(loss.data) >= 0.0
 
 
@@ -372,8 +373,51 @@ def test_fresh_run_replaces_an_old_metrics_log(tmp_path):
         (1, "train"), (1, "val")]
 
 
-@pytest.mark.parametrize("split", ["train", "val"])
-def test_nonfinite_loss_stops_before_checkpoint(tmp_path, monkeypatch, split):
+@pytest.mark.parametrize("stage, changed, expected", [
+    ("pretrain", {"d_model": 24}, "model_config.d_model: checkpoint 16 != run 24"),
+    ("pretrain", {"n_blocks": 2}, "model_config.n_blocks: checkpoint 1 != run 2"),
+    ("scratch", {"head_mode": "single"},
+     "model_config.head_mode: checkpoint multi != run single"),
+    ("scratch", {"taxonomy": "swapped"}, "taxonomy: checkpoint taxonomy differs"),
+    ("pretrain", {"vocab": "val"}, "tokenizer: checkpoint vocabulary differs"),
+], ids=["d_model", "n_blocks", "head_mode", "species_names", "bpe_merges"])
+def test_resume_refuses_a_checkpoint_of_another_run(tmp_path, monkeypatch, stage, changed,
+                                                    expected):
+    train_recs, val_recs, _ = _synth_split()
+
+    def run(max_epochs, resume=False, vocab="train", taxonomy="built", head_mode="multi",
+            **model_kw):
+        # "train" and "val" vocabularies have the same size but other merges
+        corpus = train_recs if vocab == "train" else val_recs
+        vocab = bpe_train([r.sequence for r in corpus], 12)
+        taxo = build_taxonomy(train_recs)
+        if taxonomy == "swapped":  # same class counts, two species trade names
+            names = [list(rank_names) for rank_names in taxo.names_per_rank]
+            names[6][:2] = names[6][1::-1]
+            taxo = Taxonomy(names, taxo.parent, taxo.freq_per_rank)
+        mcfg = _tiny_model(vocab, **model_kw)
+        cfg = TrainConfig(stage=stage, max_epochs=max_epochs, batch_size=16, seed=0,
+                          head_mode=head_mode)
+        if stage == "pretrain":
+            return pretrain(train_recs, val_recs, vocab, mcfg, cfg, tmp_path, resume=resume)
+        return finetune(train_recs, val_recs, taxo, vocab, cfg, tmp_path,
+                        model_cfg=mcfg, resume=resume)
+
+    run(1)
+    steps = []
+    monkeypatch.setattr(train.AdamW, "step", lambda opt: steps.append(opt.t))
+    with pytest.raises(CompatibilityError) as err:
+        run(2, resume=True, **changed)
+    assert f"cannot resume from {tmp_path / 'last'}" in str(err.value)
+    assert expected in str(err.value)
+    assert steps == []
+    assert json.loads((tmp_path / "last" / "manifest.json").read_text())["epoch"] == 1
+
+
+@pytest.mark.parametrize("stage, split", [
+    ("pretrain", "train"), ("pretrain", "val"), ("scratch", "train"), ("scratch", "val"),
+], ids=["train", "val", "finetune-train", "finetune-val"])
+def test_nonfinite_loss_stops_before_checkpoint(tmp_path, monkeypatch, stage, split):
     train_recs, val_recs, _ = _synth_split()
     vocab = char_vocab()
     epochs_written = []
@@ -383,18 +427,26 @@ def test_nonfinite_loss_stops_before_checkpoint(tmp_path, monkeypatch, split):
         epochs_written.append(manifest["epoch"])
         write_checkpoint(dest, manifest, *args)
 
-    def poisoned_lm_loss(state, ids, mask):
-        loss, n_valid = lm_loss(state, ids, mask)
-        in_val = not nc._grad_enabled
-        if epochs_written and in_val == (split == "val"):
-            loss = nc.mul(loss, Tensor(np.asarray(np.nan, dtype=loss.data.dtype)))
-        return loss, n_valid
+    def poisoned(loss_fn):
+        def loss_with_nan_from_epoch_2(*args):
+            loss, count = loss_fn(*args)
+            in_val = not nc._grad_enabled
+            if epochs_written and in_val == (split == "val"):
+                loss = nc.mul(loss, Tensor(np.asarray(np.nan, dtype=loss.data.dtype)))
+            return loss, count
+        return loss_with_nan_from_epoch_2
 
     monkeypatch.setattr(train, "_write_checkpoint", record_write)
-    monkeypatch.setattr(train, "lm_loss", poisoned_lm_loss)
-    cfg = TrainConfig(stage="pretrain", max_epochs=3, batch_size=16, seed=0, patience=10)
+    cfg = TrainConfig(stage=stage, max_epochs=3, batch_size=16, seed=0, patience=10)
     with pytest.raises(NumericDomainError, match=f"epoch 2: non-finite {split} loss"):
-        pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, tmp_path / "pt")
+        if stage == "pretrain":
+            monkeypatch.setattr(train, "lm_loss", poisoned(lm_loss))
+            pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, tmp_path / "pt")
+        else:
+            monkeypatch.setattr(train, "weighted_cross_entropy",
+                                poisoned(weighted_cross_entropy))
+            finetune(train_recs, val_recs, build_taxonomy(train_recs), vocab, cfg,
+                     tmp_path / "pt", model_cfg=_tiny_model(vocab))
 
     assert epochs_written == [1]
     last = json.loads((tmp_path / "pt" / "last" / "manifest.json").read_text())
