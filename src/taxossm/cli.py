@@ -3,14 +3,16 @@
 Every subcommand reads a JSON config (all keys optional, unknown keys
 rejected), applies --set dotted-path overrides, writes a resolved-config
 snapshot next to its outputs, and exits non-zero with one machine-parseable
-error line on stderr when something is wrong.
+error line on stderr when something is wrong. The `train`, `filter` and
+`synth` defaults are the field defaults of `TrainConfig`, `FilterConfig` and
+`SynthConfig`, which validate the values.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import evaluation, seqdata, ssm, train
@@ -19,6 +21,12 @@ from .records import RANKS
 from .seqdata import FilterConfig, SynthConfig
 from .taxonomy import build_taxonomy
 from .tokenizers import bpe_train, char_vocab, kmer_vocab, load_vocab, save_vocab
+
+
+def _defaults(cls, *skip: str) -> dict:
+    """The field defaults of the dataclass `cls`, less the fields `skip`."""
+    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+
 
 DEFAULT_CONFIG = {
     "paths": {
@@ -30,49 +38,18 @@ DEFAULT_CONFIG = {
         "checkpoint": None,
         "ttest_input": None,
     },
-    "synth": {
-        "rank_fanouts": [1, 1, 2, 2, 2, 2, 3],
-        "base_length": 120,
-        "length_jitter": 8,
-        "mutation_rate_per_rank": [0.0, 0.08, 0.07, 0.06, 0.05, 0.04, 0.03],
-        "samples_per_species": 10,
-        "label_dropout_per_rank": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        "seed": 0,
-    },
-    "filter": {
-        "length_sigma": 4.0,
-        "max_ambiguous_fraction": 0.05,
-        "min_class_size": 3,
-    },
+    "synth": _defaults(SynthConfig, "max_species"),
+    "filter": _defaults(FilterConfig),
     "split": {"fractions": [0.8, 0.1, 0.1], "seed": 0},
     "tokenizer": {"kind": "bpe", "vocab_size": 512, "k": 6},
+    # null takes the preset's value; the vocabulary sets vocab_size
     "model": {
         "preset": "tiny",
-        "d_model": None,
-        "n_blocks": None,
-        "head_dim": None,
-        "expand": None,
-        "d_state": None,
-        "conv_kernel": None,
-        "max_len": 1024,
+        **{name: None for name in ssm.BACKBONE_FIELDS if name != "vocab_size"},
+        "max_len": _defaults(ssm.ModelConfig)["max_len"],
     },
-    "train": {
-        "stage": None,
-        "lr": None,
-        "max_epochs": None,
-        "weight_decay": 0.1,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "adam_eps": 1e-8,
-        "patience": 3,
-        "batch_size": 32,
-        "seed": 0,
-        "smoothing_mode": "hierarchical",
-        "epsilon": 0.1,
-        "weighted_loss": True,
-        "head_mode": "multi",
-        "wall_clock_limit": None,
-    },
+    # a null stage is the subcommand's
+    "train": {**_defaults(train.TrainConfig), "stage": None},
     "eval": {"batch_size": 32, "lift_mode": "sum", "besthit_k": 8},
 }
 
@@ -134,15 +111,10 @@ def resolve_config(config_path: str | None, sets: list[str], seed: int | None) -
 
 
 def _model_config(cfg: dict, vocab_size: int, head_mode: str) -> ssm.ModelConfig:
-    section = cfg["model"]
-    overrides = {
-        k: section[k]
-        for k in ("d_model", "n_blocks", "head_dim", "expand", "d_state", "conv_kernel")
-        if section[k] is not None
-    }
-    overrides["max_len"] = section["max_len"]
-    overrides["head_mode"] = head_mode
-    return ssm.preset_config(section["preset"], vocab_size, **overrides)
+    section = dict(cfg["model"])
+    preset = section.pop("preset")
+    overrides = {k: v for k, v in section.items() if v is not None}
+    return ssm.preset_config(preset, vocab_size, **overrides, head_mode=head_mode)
 
 
 def _train_config(cfg: dict, stage: str) -> train.TrainConfig:
@@ -182,16 +154,7 @@ def _build_vocab(cfg: dict, records):
 
 
 def cmd_synth(cfg, out: Path):
-    synth_cfg = SynthConfig(
-        rank_fanouts=tuple(cfg["synth"]["rank_fanouts"]),
-        base_length=cfg["synth"]["base_length"],
-        length_jitter=cfg["synth"]["length_jitter"],
-        mutation_rate_per_rank=tuple(cfg["synth"]["mutation_rate_per_rank"]),
-        samples_per_species=cfg["synth"]["samples_per_species"],
-        label_dropout_per_rank=tuple(cfg["synth"]["label_dropout_per_rank"]),
-        seed=cfg["synth"]["seed"],
-    )
-    records = seqdata.synth_generate(synth_cfg)
+    records = seqdata.synth_generate(SynthConfig(**cfg["synth"]))
     seqdata.write_fasta(records, out / "synth.fasta")
     print(f"wrote {len(records)} records to {out / 'synth.fasta'}")
 
@@ -228,10 +191,10 @@ def cmd_tok_train(cfg, out: Path):
 
 
 def cmd_pretrain(cfg, out: Path, resume: bool = False):
+    tcfg = _train_config(cfg, "pretrain")
     train_recs = seqdata.parse_fasta(_require_path(cfg, "train_fasta"))
     val_recs = seqdata.parse_fasta(_require_path(cfg, "val_fasta"))
     vocab = load_vocab(_require_path(cfg, "vocab"))
-    tcfg = _train_config(cfg, "pretrain")
     mcfg = _model_config(cfg, len(vocab), tcfg.head_mode)
     ckpt = train.pretrain(train_recs, val_recs, vocab, mcfg, tcfg, out, resume=resume)
     print(f"pretraining done: best val loss {ckpt.manifest['best_val_loss']:.4f} "
@@ -239,10 +202,10 @@ def cmd_pretrain(cfg, out: Path, resume: bool = False):
 
 
 def cmd_finetune(cfg, out: Path, resume: bool = False):
+    tcfg = _train_config(cfg, "finetune" if cfg["paths"]["checkpoint"] else "scratch")
     train_recs = seqdata.parse_fasta(_require_path(cfg, "train_fasta"))
     val_recs = seqdata.parse_fasta(_require_path(cfg, "val_fasta"))
     taxonomy = build_taxonomy(train_recs)
-    tcfg = _train_config(cfg, "finetune" if cfg["paths"]["checkpoint"] else "scratch")
     init_from = None
     mcfg = None
     if tcfg.stage == "finetune":

@@ -32,7 +32,7 @@ class FilterConfig:
     max_ambiguous_fraction: float = 0.05
     min_class_size: int = 3
 
-    def validate(self):
+    def __post_init__(self):
         if self.length_sigma <= 0:
             raise ConfigError(f"length_sigma must be > 0, got {self.length_sigma}")
         if not 0.0 <= self.max_ambiguous_fraction <= 1.0:
@@ -88,7 +88,7 @@ class SynthConfig:
     seed: int = 0
     max_species: int = 10**6
 
-    def validate(self):
+    def __post_init__(self):
         if len(self.rank_fanouts) != N_RANKS:
             raise ConfigError("rank_fanouts needs exactly 7 entries")
         if any(f < 1 for f in self.rank_fanouts):
@@ -97,7 +97,7 @@ class SynthConfig:
             raise ConfigError("mutation_rate_per_rank needs exactly 7 entries")
         if len(self.label_dropout_per_rank) != N_RANKS:
             raise ConfigError("label_dropout_per_rank needs exactly 7 entries")
-        for r in self.mutation_rate_per_rank + self.label_dropout_per_rank:
+        for r in (*self.mutation_rate_per_rank, *self.label_dropout_per_rank):
             if not 0.0 <= r <= 1.0:
                 raise ConfigError(f"rates must be in [0,1], got {r}")
         if self.base_length < 1 or self.length_jitter < 0:
@@ -220,7 +220,6 @@ def filter_dataset(
        members at any rank, until no class is undersized (fixed point).
     """
     cfg = cfg or FilterConfig()
-    cfg.validate()
     if not records:
         raise EmptyDatasetError("filter_dataset requires a non-empty record list")
     stats = FilterStats(input_count=len(records))
@@ -350,7 +349,6 @@ def synth_generate(cfg: SynthConfig) -> list[BarcodeRecord]:
     blanked from a rank downward with the per-rank dropout probabilities to
     mimic annotation sparsity.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
 
     # nodes at rank r: list of (name_path, sequence); expand rank by rank

@@ -28,6 +28,10 @@ from .numcore import Tensor
 from .records import N_RANKS
 
 HEAD_MODES = ("multi", "single")
+# the ModelConfig fields that shape the backbone's parameters: a checkpoint
+# fine-tunes only into a model that agrees with it on all of them
+BACKBONE_FIELDS = ("vocab_size", "d_model", "n_blocks", "head_dim", "expand", "d_state",
+                   "conv_kernel")
 
 
 def head_ranks(head_mode: str) -> tuple[int, ...]:
@@ -48,8 +52,7 @@ class ModelConfig:
     head_mode: str = "multi"
 
     def __post_init__(self):
-        for name in ("vocab_size", "d_model", "n_blocks", "head_dim", "expand",
-                     "d_state", "conv_kernel", "max_len"):
+        for name in BACKBONE_FIELDS + ("max_len",):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if (self.expand * self.d_model) % self.head_dim != 0:
@@ -67,17 +70,6 @@ class ModelConfig:
     @property
     def n_heads(self) -> int:
         return self.d_inner // self.head_dim
-
-    def backbone_fields(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_blocks": self.n_blocks,
-            "head_dim": self.head_dim,
-            "expand": self.expand,
-            "d_state": self.d_state,
-            "conv_kernel": self.conv_kernel,
-        }
 
 
 def preset_config(name: str, vocab_size: int, **overrides) -> ModelConfig:

@@ -6,8 +6,8 @@ round-trip parameters, optimizer moments and the generator state bitwise.
 
 `pretrain` and `finetune` set up a model and the loss of one batch; one epoch
 loop (`_fit`) runs every stage with its optimizer, shuffling, early stopping,
-metrics log and checkpoints. A resume refuses a checkpoint of another model,
-taxonomy or vocabulary.
+metrics log and checkpoints. `_check_pinned` refuses a checkpoint that differs
+from the run in a setting its use pins (see `finetune` and `_RESUME_FREE`).
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from .errors import (
 from .numcore import Tensor
 from .records import N_RANKS
 from .taxonomy import (
+    SMOOTHING_MODES,
     ClassWeights,
     TargetDistribution,
     Taxonomy,
@@ -80,6 +81,11 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 0, got {self.patience}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
+        if self.smoothing_mode not in SMOOTHING_MODES:
+            raise ConfigError(f"smoothing_mode must be one of {SMOOTHING_MODES}, "
+                              f"got '{self.smoothing_mode}'")
+        if not 0.0 <= self.epsilon < 1.0:
+            raise ConfigError(f"epsilon must be in [0,1), got {self.epsilon}")
 
 
 class AdamW:
@@ -190,6 +196,18 @@ def weighted_cross_entropy(
 # checkpointing
 
 
+# what `_fit` and `_write_checkpoint` write
+_MANIFEST_KEYS = {"stage", "model_config", "train_config", "norm_param_names", "class_counts",
+                  "epoch", "history", "best_epoch", "best_val_loss", "bad_epochs", "adam_step",
+                  "rng_state", "tensors", "vocab_file", "taxonomy_file"}
+
+
+def _key_set_errors(what: str, keys, expected: set) -> list[str]:
+    keys = set(keys)
+    return [f"{what} {verb} {sorted(diff)}" for verb, diff in
+            (("lacks", expected - keys), ("has unknown keys", keys - expected)) if diff]
+
+
 class Checkpoint:
     """A checkpoint directory: manifest.json plus one raw tensor file per array."""
 
@@ -203,6 +221,18 @@ class Checkpoint:
             raise ParseError(f"unreadable checkpoint manifest ({exc})", path=path) from None
         if not isinstance(self.manifest, dict):
             raise ParseError("checkpoint manifest is not a JSON object", path=path)
+        errors = _key_set_errors("manifest", self.manifest, _MANIFEST_KEYS)
+        for key, cls in (("model_config", ssm.ModelConfig), ("train_config", TrainConfig)):
+            section = self.manifest.get(key)
+            if isinstance(section, dict):
+                errors += _key_set_errors(key, section, {f.name for f in fields(cls)})
+            elif key in self.manifest:
+                errors.append(f"{key} is not a JSON object")
+        if errors:
+            raise ParseError("checkpoint " + "; ".join(errors), path=path)
+
+    def model_config(self) -> ssm.ModelConfig:
+        return ssm.ModelConfig(**self.manifest["model_config"])
 
     def load_arrays(self, group: str) -> dict[str, np.ndarray]:
         out = {}
@@ -211,11 +241,10 @@ class Checkpoint:
         return out
 
     def load_model(self) -> ssm.ModelState:
-        cfg = ssm.ModelConfig(**self.manifest["model_config"])
         arrays = self.load_arrays("params")
         params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         norms = set(self.manifest["norm_param_names"])
-        return ssm.ModelState(cfg, params, self.manifest.get("class_counts"), norms)
+        return ssm.ModelState(self.model_config(), params, self.manifest["class_counts"], norms)
 
     def load_vocab(self) -> Vocab:
         return load_vocab(self.dir / self.manifest["vocab_file"])
@@ -338,27 +367,43 @@ def _tokenizer_key(vocab: Vocab) -> tuple:
     return vocab.kind, vocab.kmer_k, vocab.token_to_id, vocab.merges
 
 
-def _check_resumable(ckpt: Checkpoint, state: ssm.ModelState, vocab: Vocab,
-                     taxonomy: Taxonomy | None):
-    """Refuse a checkpoint of another model, taxonomy or vocabulary before any
-    of its arrays is loaded."""
-    saved, run = ckpt.manifest["model_config"], asdict(state.config)
-    mismatches = [f"model_config.{key}: checkpoint {saved.get(key)} != run {run.get(key)}"
-                  for key in sorted(saved.keys() | run.keys()) if saved.get(key) != run.get(key)]
-    saved_counts = ckpt.manifest.get("class_counts")
-    if saved_counts != state.class_counts:
-        mismatches.append(f"class_counts: checkpoint {saved_counts} != run {state.class_counts}")
-    elif taxonomy is not None and ckpt.load_taxonomy().to_json() != taxonomy.to_json():
-        mismatches.append("taxonomy: checkpoint taxonomy differs from the run's")
-    if _tokenizer_key(ckpt.load_vocab()) != _tokenizer_key(vocab):
-        mismatches.append("tokenizer: checkpoint vocabulary differs from the run's")
+def _settings(model_config: dict, train_config: dict, class_counts, taxonomy, vocab) -> dict:
+    """A checkpoint's or a run's settings under the keys `_check_pinned` compares."""
+    return {
+        **{f"model_config.{k}": v for k, v in model_config.items()},
+        **{f"train_config.{k}": v for k, v in train_config.items()},
+        "class_counts": class_counts,
+        "taxonomy": None if taxonomy is None else taxonomy.to_json(),
+        "tokenizer": _tokenizer_key(vocab),
+    }
+
+
+# a resume may train for longer, not train something else
+_RESUME_FREE = ("train_config.max_epochs", "train_config.patience",
+                "train_config.wall_clock_limit")
+_SHOWN_AS = {"taxonomy": "taxonomy", "tokenizer": "vocabulary"}  # too long to print
+
+
+def _check_pinned(ckpt: Checkpoint, use: str, pinned: dict):
+    """Refuse to `use` ("resume from", "fine-tune from") `ckpt` unless it agrees
+    with the run on every setting in `pinned`, a `_settings` key -> the run's
+    value. Runs before any of the checkpoint's arrays is loaded."""
+    m = ckpt.manifest
+    taxonomy = ckpt.load_taxonomy() if m["taxonomy_file"] else None
+    saved = _settings(m["model_config"], m["train_config"], m["class_counts"], taxonomy,
+                      ckpt.load_vocab())
+    mismatches = [
+        f"{key}: checkpoint {_SHOWN_AS[key]} differs from the run's" if key in _SHOWN_AS
+        else f"{key}: checkpoint {saved[key]} != run {value}"
+        for key, value in pinned.items() if saved[key] != value]
     if mismatches:
-        raise CompatibilityError(f"cannot resume from {ckpt.dir}: " + "; ".join(mismatches))
+        raise CompatibilityError(f"cannot {use} {ckpt.dir}: " + "; ".join(mismatches))
 
 
-def _resume(out_dir: Path, state: ssm.ModelState, vocab: Vocab, taxonomy: Taxonomy | None,
-            opt: AdamW, rng: np.random.Generator, loop: _LoopState):
-    """Load `last` into the run; returns its best parameters, or None without one."""
+def _resume(out_dir: Path, pinned: dict, state: ssm.ModelState, opt: AdamW,
+            rng: np.random.Generator, loop: _LoopState):
+    """Load `last` into the run, once it agrees on the settings `pinned`; returns
+    its best parameters, or None without one."""
     last = out_dir / "last"
     if not (last / "manifest.json").exists():
         # a crash between the two renames in _write_checkpoint leaves only last.old
@@ -366,7 +411,7 @@ def _resume(out_dir: Path, state: ssm.ModelState, vocab: Vocab, taxonomy: Taxono
     if not (last / "manifest.json").exists():
         return None
     ckpt = Checkpoint(last)
-    _check_resumable(ckpt, state, vocab, taxonomy)
+    _check_pinned(ckpt, "resume from", pinned)
     for name, arr in ckpt.load_arrays("params").items():
         state.params[name].data = arr
     opt.m = ckpt.load_arrays("opt_m")
@@ -397,7 +442,11 @@ def _fit(state: ssm.ModelState, cfg: TrainConfig, out_dir, vocab: Vocab,
                 cfg.weight_decay, state.norm_param_names)
     rng = np.random.default_rng(cfg.seed)
     loop = _LoopState()
-    best_params = _resume(out_dir, state, vocab, taxonomy, opt, rng, loop) if resume else None
+    best_params = None
+    if resume:
+        run = _settings(asdict(state.config), asdict(cfg), state.class_counts, taxonomy, vocab)
+        pinned = {k: v for k, v in run.items() if k not in _RESUME_FREE}
+        best_params = _resume(out_dir, pinned, state, opt, rng, loop)
     if best_params is None:
         best_params = _snapshot(state.params)
     log = _MetricsLog(out_dir / "metrics.jsonl")
@@ -491,18 +540,6 @@ def pretrain(
                 len(train_records), len(val_records), batch_loss)
 
 
-def _check_compatible(ckpt: Checkpoint, model_cfg: ssm.ModelConfig, vocab: Vocab):
-    mismatches = []
-    saved = ckpt.manifest["model_config"]
-    for key, value in model_cfg.backbone_fields().items():
-        if saved.get(key) != value:
-            mismatches.append(f"{key}: checkpoint {saved.get(key)} != requested {value}")
-    if _tokenizer_key(ckpt.load_vocab()) != _tokenizer_key(vocab):
-        mismatches.append("tokenizer: checkpoint vocabulary differs from the provided one")
-    if mismatches:
-        raise CompatibilityError("; ".join(mismatches))
-
-
 def finetune(
     train_records,
     val_records,
@@ -533,8 +570,9 @@ def finetune(
             raise ConfigError("stage=finetune requires a pretraining checkpoint")
         ckpt = init_from if isinstance(init_from, Checkpoint) else Checkpoint(init_from)
         if model_cfg is None:
-            model_cfg = ssm.ModelConfig(**ckpt.manifest["model_config"])
-        _check_compatible(ckpt, model_cfg, vocab)
+            model_cfg = ckpt.model_config()
+        pinned = {f"model_config.{k}": getattr(model_cfg, k) for k in ssm.BACKBONE_FIELDS}
+        _check_pinned(ckpt, "fine-tune from", pinned | {"tokenizer": _tokenizer_key(vocab)})
     elif model_cfg is None:
         raise ConfigError("stage=scratch requires a ModelConfig")
     model_cfg = replace(model_cfg, head_mode=cfg.head_mode)

@@ -26,7 +26,7 @@ from taxossm.taxonomy import build_taxonomy, class_weights, smooth_target
 from taxossm.tokenizers import bpe_encode, bpe_train, char_encode, char_vocab, decode
 from taxossm.train import TrainConfig, finetune, pretrain, weighted_cross_entropy
 
-from conftest import toy_records
+from toydata import toy_records
 from test_evaluation import brute_force_rank_metrics, labelled_records
 from test_seqdata import brute_force_filter, ten_record_fixture
 from test_ssm import (

@@ -27,6 +27,29 @@ def test_resolve_config_applies_overrides():
     assert cfg["model"]["preset"] == "base"
 
 
+def test_default_config_is_the_dataclass_defaults():
+    # pins every key and default the config sections derive from the dataclasses
+    assert resolve_config(None, [], None) == {
+        "paths": {"input_fasta": None, "train_fasta": None, "val_fasta": None,
+                  "test_fasta": None, "vocab": None, "checkpoint": None, "ttest_input": None},
+        "synth": {"rank_fanouts": [1, 1, 2, 2, 2, 2, 3], "base_length": 120,
+                  "length_jitter": 8,
+                  "mutation_rate_per_rank": [0.0, 0.08, 0.07, 0.06, 0.05, 0.04, 0.03],
+                  "samples_per_species": 10, "label_dropout_per_rank": [0.0] * 7, "seed": 0},
+        "filter": {"length_sigma": 4.0, "max_ambiguous_fraction": 0.05, "min_class_size": 3},
+        "split": {"fractions": [0.8, 0.1, 0.1], "seed": 0},
+        "tokenizer": {"kind": "bpe", "vocab_size": 512, "k": 6},
+        "model": {"preset": "tiny", "d_model": None, "n_blocks": None, "head_dim": None,
+                  "expand": None, "d_state": None, "conv_kernel": None, "max_len": 1024},
+        "train": {"stage": None, "lr": None, "max_epochs": None, "weight_decay": 0.1,
+                  "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8, "patience": 3,
+                  "batch_size": 32, "seed": 0, "smoothing_mode": "hierarchical",
+                  "epsilon": 0.1, "weighted_loss": True, "head_mode": "multi",
+                  "wall_clock_limit": None},
+        "eval": {"batch_size": 32, "lift_mode": "sum", "besthit_k": 8},
+    }
+
+
 def test_resolve_config_rejects_unknown_keys(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"train": {"lr": 1, "warmup": 2}, "mystery": {}}))
@@ -255,8 +278,9 @@ def test_cli_resume_matches_uninterrupted_run(tmp_path, command):
     assert log[:2] == epoch1_log
 
 
-@pytest.mark.parametrize("manifest", [b'{"model_config": {"vocab_si', b"[1, 2]", b"{\xff}"],
-                         ids=["torn", "not_an_object", "non_ascii"])
+@pytest.mark.parametrize("manifest", [b'{"model_config": {"vocab_si', b"[1, 2]", b"{\xff}",
+                                      b'{"stage": "finetune"}'],
+                         ids=["torn", "not_an_object", "non_ascii", "missing_key"])
 def test_predict_with_a_corrupt_checkpoint_manifest_names_it(tmp_path, capsys, manifest):
     final = tmp_path / "ckpt" / "final"
     final.mkdir(parents=True)

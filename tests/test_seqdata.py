@@ -217,6 +217,13 @@ def test_filter_fixed_point_class_sizes():
         assert all(v >= cfg.min_class_size for v in counts.values())
 
 
+@pytest.mark.parametrize("bad", [dict(length_sigma=0.0), dict(max_ambiguous_fraction=1.5),
+                                 dict(min_class_size=0)], ids=lambda bad: next(iter(bad)))
+def test_filter_config_rejects_out_of_range_values_when_built(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        FilterConfig(**bad)
+
+
 def test_filter_empty_dataset_errors():
     with pytest.raises(EmptyDatasetError):
         filter_dataset([], FilterConfig())
@@ -340,7 +347,7 @@ def test_synth_deterministic():
 
 def test_synth_fanout_cap():
     with pytest.raises(ConfigError):
-        SynthConfig(rank_fanouts=(10, 10, 10, 10, 10, 10, 10)).validate()
+        SynthConfig(rank_fanouts=(10, 10, 10, 10, 10, 10, 10))
 
 
 def test_synth_labels_are_prefix_closed():

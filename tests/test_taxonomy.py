@@ -17,7 +17,7 @@ from taxossm.taxonomy import (
     truncate_to_known,
 )
 
-from conftest import toy_records
+from toydata import toy_records
 
 
 def walk_ancestor(taxo, rank, index, target_rank):

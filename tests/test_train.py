@@ -12,6 +12,7 @@ from taxossm.errors import (
     ConfigError,
     EmptyDatasetError,
     NumericDomainError,
+    ParseError,
 )
 from taxossm.numcore import Tensor
 from taxossm.records import BarcodeRecord, make_label
@@ -28,7 +29,7 @@ from taxossm.train import (
     weighted_cross_entropy,
 )
 
-from conftest import toy_records
+from toydata import toy_records
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +47,11 @@ def test_stage_defaults_follow_training_recipe():
     assert cfg.lr == 1e-3
     with pytest.raises(ConfigError):
         TrainConfig(stage="warmup")
+    with pytest.raises(ConfigError, match="smoothing_mode"):
+        TrainConfig(stage="pretrain", smoothing_mode="hierachical")
+    for epsilon in (-0.1, 1.0):
+        with pytest.raises(ConfigError, match="epsilon"):
+            TrainConfig(stage="finetune", epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +386,17 @@ def test_fresh_run_replaces_an_old_metrics_log(tmp_path):
      "model_config.head_mode: checkpoint multi != run single"),
     ("scratch", {"taxonomy": "swapped"}, "taxonomy: checkpoint taxonomy differs"),
     ("pretrain", {"vocab": "val"}, "tokenizer: checkpoint vocabulary differs"),
-], ids=["d_model", "n_blocks", "head_mode", "species_names", "bpe_merges"])
+    ("pretrain", {"lr": 5e-3}, "train_config.lr: checkpoint 0.0008 != run 0.005"),
+    ("scratch", {"batch_size": 4}, "train_config.batch_size: checkpoint 16 != run 4"),
+    ("pretrain", {"seed": 7}, "train_config.seed: checkpoint 0 != run 7"),
+], ids=["d_model", "n_blocks", "head_mode", "species_names", "bpe_merges", "lr", "batch_size",
+        "seed"])
 def test_resume_refuses_a_checkpoint_of_another_run(tmp_path, monkeypatch, stage, changed,
                                                     expected):
     train_recs, val_recs, _ = _synth_split()
 
     def run(max_epochs, resume=False, vocab="train", taxonomy="built", head_mode="multi",
-            **model_kw):
+            lr=None, batch_size=16, seed=0, **model_kw):
         # "train" and "val" vocabularies have the same size but other merges
         corpus = train_recs if vocab == "train" else val_recs
         vocab = bpe_train([r.sequence for r in corpus], 12)
@@ -396,8 +406,8 @@ def test_resume_refuses_a_checkpoint_of_another_run(tmp_path, monkeypatch, stage
             names[6][:2] = names[6][1::-1]
             taxo = Taxonomy(names, taxo.parent, taxo.freq_per_rank)
         mcfg = _tiny_model(vocab, **model_kw)
-        cfg = TrainConfig(stage=stage, max_epochs=max_epochs, batch_size=16, seed=0,
-                          head_mode=head_mode)
+        cfg = TrainConfig(stage=stage, lr=lr, max_epochs=max_epochs, batch_size=batch_size,
+                          seed=seed, head_mode=head_mode)
         if stage == "pretrain":
             return pretrain(train_recs, val_recs, vocab, mcfg, cfg, tmp_path, resume=resume)
         return finetune(train_recs, val_recs, taxo, vocab, cfg, tmp_path,
@@ -563,3 +573,23 @@ def test_checkpoint_round_trip_and_metrics_log(tmp_path):
 
     returned_val = ckpt.manifest["best_val_loss"]
     assert returned_val == min(h["val_loss"] for h in ckpt.manifest["history"])
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda m: m.pop("epoch"), "manifest lacks ['epoch']"),
+    (lambda m: m["model_config"].update(dmodel=m["model_config"].pop("d_model")),
+     "model_config lacks ['d_model']; model_config has unknown keys ['dmodel']"),
+    (lambda m: m["train_config"].update(warmup=2), "train_config has unknown keys ['warmup']"),
+    (lambda m: m.update(model_config=[16]), "model_config is not a JSON object"),
+], ids=["manifest", "model_config", "train_config", "model_config_not_object"])
+def test_checkpoint_manifest_with_other_keys_names_them(tmp_path, edit, named):
+    train_recs, val_recs, _ = _synth_split()
+    vocab = char_vocab()
+    cfg = TrainConfig(stage="pretrain", max_epochs=1, batch_size=16, seed=0)
+    final = pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, tmp_path).dir
+    manifest = json.loads((final / "manifest.json").read_text())
+    edit(manifest)
+    (final / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ParseError) as err:
+        train.Checkpoint(final)
+    assert str(err.value) == f"{final / 'manifest.json'}: checkpoint {named}"
