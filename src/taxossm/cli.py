@@ -5,11 +5,13 @@ rejected), applies --set dotted-path overrides, writes a resolved-config
 snapshot next to its outputs, and exits non-zero with one machine-parseable
 error line on stderr when something is wrong. The `train`, `filter` and
 `synth` defaults are the field defaults of `TrainConfig`, `FilterConfig` and
-`SynthConfig`, which validate the values.
+`SynthConfig`, which validate the values; the `eval` defaults are the keyword
+defaults of `evaluation.predict_dataset` and `evaluation.besthit_train`.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import asdict, fields
@@ -26,6 +28,11 @@ from .tokenizers import bpe_train, char_vocab, kmer_vocab, load_vocab, save_voca
 def _defaults(cls, *skip: str) -> dict:
     """The field defaults of the dataclass `cls`, less the fields `skip`."""
     return {f.name: f.default for f in fields(cls) if f.name not in skip}
+
+
+def _keyword_default(fn, name: str):
+    """The default of the keyword parameter `name` of `fn`."""
+    return inspect.signature(fn).parameters[name].default
 
 
 DEFAULT_CONFIG = {
@@ -50,7 +57,11 @@ DEFAULT_CONFIG = {
     },
     # a null stage is the subcommand's
     "train": {**_defaults(train.TrainConfig), "stage": None},
-    "eval": {"batch_size": 32, "lift_mode": "sum", "besthit_k": 8},
+    "eval": {
+        "batch_size": _keyword_default(evaluation.predict_dataset, "batch_size"),
+        "lift_mode": _keyword_default(evaluation.predict_dataset, "lift_mode"),
+        "besthit_k": _keyword_default(evaluation.besthit_train, "k"),
+    },
 }
 
 

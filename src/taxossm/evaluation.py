@@ -364,7 +364,7 @@ def time_inference(
     state: ssm.ModelState,
     vocab: Vocab,
     records: list[BarcodeRecord],
-    batch_size: int = 32,
+    batch_size: int,
 ) -> TimingResult:
     """Wall-clock per-sample forward cost; the first (warm-up) batch is excluded."""
     tokens = [encode(vocab, r.sequence, state.config.max_len).ids for r in records]

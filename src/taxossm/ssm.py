@@ -11,10 +11,21 @@ Per head h the mixer's recurrence over positions t is
     y_t = H_t @ C_t + D_h * x_t,        H_0 = 0
 
 with H_t a (p x N) state, delta positive via softplus and a_h < 0. One B_t and
-one C_t of length N per position are shared by every head. The scan is one
-graph node with a hand-derived adjoint; finite differences, a per-head
-sequential recurrence, a chunked scan and a dense quadratic-time oracle check
-it in the test suite.
+one C_t of length N per position are shared by every head.
+
+The scan is one graph node, computed in the chunked (SSD) form of Dao & Gu
+2024 ("Transformers are SSMs", arXiv:2405.21060, section 6). Positions are cut
+into chunks of at most CHUNK. Inside a chunk the output is a few batched
+matmuls: C·Bᵀ once for all heads, times a per-head causal decay
+exp(segsum(delta*a)), times x. The state entering each chunk is carried across
+the chunks by a short loop, and its share of the output is one more matmul.
+The node's adjoint is the same matmuls reversed. It keeps only the state
+entering each chunk, (Bsz, ceil(T/CHUNK), H, p, N), and rebuilds the chunk
+terms from the inputs; under no_grad nothing is kept. The tests check the node
+against the per-position recurrence and its hand-derived adjoint (in f64 at
+several chunk lengths, and in f32 after a large step), finite differences, a
+per-head sequential scan, a reference chunked scan and a dense quadratic-time
+oracle.
 """
 from __future__ import annotations
 
@@ -89,66 +100,161 @@ def preset_config(name: str, vocab_size: int, **overrides) -> ModelConfig:
 # ---------------------------------------------------------------------------
 # scan kernel
 
+CHUNK = 16  # positions per chunk of the SSD form
 
-def _scan_forward(x, delta, a, B, C, D):
-    """Forward of the recurrence; also returns the per-step states."""
-    if x.ndim != 4:
-        raise ShapeError(f"x must be (Bsz,T,H,P), got {x.shape}")
+
+def _chunking(T: int, chunk: int) -> tuple[int, int]:
+    """K = ceil(T/chunk) chunks of L = ceil(T/K) <= chunk positions, so K*L - T < K."""
+    K = max(1, -(-T // chunk))
+    return K, max(1, -(-T // K))
+
+
+def _chunked(v: np.ndarray, K: int, L: int) -> np.ndarray:
+    """(Bsz,T,...) -> (Bsz,K,L,...), zero-padded after position T.
+
+    A padded position has delta 0: it neither decays the state nor feeds it.
+    """
+    if v.shape[1] != K * L:
+        padded = np.zeros((v.shape[0], K * L) + v.shape[2:], dtype=v.dtype)
+        padded[:, :v.shape[1]] = v
+        v = padded
+    return v.reshape(v.shape[0], K, L, *v.shape[2:])
+
+
+def _cumsum_matrix(L: int, dtype) -> np.ndarray:
+    """The (L, L*L + L) 0/1 matrix Q: for one chunk's log decays u, u @ Q is
+
+        segsum[t, s] = sum of u[r] over s < r <= t  (0 where t <= s), flattened,
+        cum[t]       = sum of u[r] over r <= t.
+
+    Both are cumsums over t of u masked to r > s (segsum) or unmasked (cum),
+    taken as one matmul. Each entry sums its own terms, all <= 0; none is a
+    difference cum[t] - cum[s], which in f32 loses the small steps that follow
+    a large one.
+    """
+    r = np.arange(L)
+    t, s, q = r[:, None, None], r[None, :, None], r[None, None, :]
+    seg = ((s < q) & (q <= t)).reshape(L * L, L)
+    cum = r[None, :] <= r[:, None]
+    return np.concatenate([seg, cum]).T.astype(dtype)
+
+
+def _chunk_terms(delta, a, B, C, K, L):
+    """What the forward and the backward both build per chunk, from the inputs.
+
+    Returns delta (Bsz,K,H,L); the causal decays W (Bsz,K,H,L,L), W[t,s] =
+    exp(segsum[t,s]) for s <= t and 0 above the diagonal; the decays since the
+    chunk start E (Bsz,K,H,L), E[t] = exp(cum[t]); B and C (Bsz,K,L,N); and
+    C·Bᵀ (Bsz,K,L,L), built once for all heads since B and C are shared.
+    """
+    Bsz, H = delta.shape[0], a.shape[0]
+    dt = _chunked(delta, K, L).transpose(0, 1, 3, 2)
+    sums = (dt * a[:, None]) @ _cumsum_matrix(L, delta.dtype)
+    W = np.exp(sums[..., :L * L].reshape(Bsz, K, H, L, L)) * np.tri(L, dtype=delta.dtype)
+    E = np.exp(sums[..., L * L:])
+    Bc, Cc = _chunked(B, K, L), _chunked(C, K, L)
+    return dt, W, E, Bc, Cc, Cc @ Bc.swapaxes(-1, -2)
+
+
+def _ssd_forward(x, delta, a, B, C, D, chunk):
+    """y of the recurrence, and the state entering each chunk, S (Bsz,K,H,P,N)."""
     Bsz, T, H, P = x.shape
     N = B.shape[-1]
-    if delta.shape != (Bsz, T, H):
-        raise ShapeError(f"delta shape {delta.shape} != {(Bsz, T, H)}")
-    if B.shape != (Bsz, T, N) or C.shape != (Bsz, T, N):
-        raise ShapeError(f"B/C shapes {B.shape}/{C.shape} != {(Bsz, T, N)}")
-    if a.shape != (H,) or D.shape != (H,):
-        raise ShapeError(f"a/D shapes {a.shape}/{D.shape} != {(H,)}")
-    A = np.exp(delta * a)  # (Bsz,T,H)
-    Hs = np.empty((Bsz, T, H, P, N), dtype=x.dtype)
-    state = np.zeros((Bsz, H, P, N), dtype=x.dtype)
-    y = np.empty_like(x)
-    for t in range(T):
-        state = A[:, t, :, None, None] * state + delta[:, t, :, None, None] * (
-            x[:, t, :, :, None] * B[:, t, None, None, :]
-        )
-        Hs[:, t] = state
-        y[:, t] = np.einsum("bhpn,bn->bhp", state, C[:, t])
-    y = y + D[None, None, :, None] * x
-    return y, (A, Hs)
+    K, L = _chunking(T, chunk)
+    dt, W, E, Bc, Cc, CB = _chunk_terms(delta, a, B, C, K, L)
+    xc = _chunked(x, K, L)  # (Bsz,K,L,H,P)
+    # inside a chunk, y[t] = sum over s <= t of (C_t·B_s) W[t,s] delta_s x_s
+    M = CB[:, :, None] * W * dt[..., None, :]
+    y_intra = M @ xc.transpose(0, 1, 3, 2, 4)
+    # each chunk's own inputs at its end, carried across the chunks
+    w_end = (W[..., -1, :] * dt).transpose(0, 1, 3, 2)[..., None]  # (Bsz,K,L,H,1)
+    Z = (xc * w_end).reshape(Bsz, K, L, H * P).swapaxes(-1, -2) @ Bc
+    Z = Z.reshape(Bsz, K, H, P, N)
+    decay = E[..., -1, None, None]
+    S = np.zeros_like(Z)
+    for k in range(1, K):
+        S[:, k] = decay[:, k - 1] * S[:, k - 1] + Z[:, k - 1]
+    # the entering state's share, E[t] (C_t·S), for all heads in one matmul
+    y = (Cc @ S.reshape(Bsz, K, H * P, N).swapaxes(-1, -2)).reshape(Bsz, K, L, H, P)
+    y *= E.transpose(0, 1, 3, 2)[..., None]
+    y += y_intra.transpose(0, 1, 3, 2, 4)
+    return y.reshape(Bsz, K * L, H, P)[:, :T] + D[:, None] * x, S
 
 
-def _scan_backward(g, x, delta, a, B, C, D, A, Hs):
-    """Adjoint of _scan_forward; dB and dC sum over the heads that share B and C."""
+def _ssd_backward(g, x, delta, a, B, C, D, S, chunk):
+    """Adjoint of _ssd_forward: its matmuls reversed, the chunk terms rebuilt from
+    the inputs. dB and dC sum over the heads that share B and C."""
     Bsz, T, H, P = x.shape
-    dD = np.einsum("bthp,bthp->h", g, x)
-    dx = D[None, None, :, None] * g
-    ddelta = np.empty_like(delta)
-    dB = np.empty_like(B)
-    dC = np.empty_like(C)
-    da = np.zeros_like(a)
-    G = np.zeros((Bsz, H, P, Hs.shape[-1]), dtype=x.dtype)
-    for t in range(T - 1, -1, -1):
-        G = G + g[:, t, :, :, None] * C[:, t, None, None, :]
-        # sum per head, then over heads: one f32 pass over all H*P terms
-        # doubles the rounding error of dB and dC
-        dC[:, t] = np.einsum("bhpn,bhp->bhn", Hs[:, t], g[:, t]).sum(axis=1)
-        h_prev = Hs[:, t - 1] if t > 0 else np.zeros_like(G)
-        s_decay = np.einsum("bhpn,bhpn->bh", G, h_prev)
-        s_input = np.einsum("bhpn,bhpn->bh", G, x[:, t, :, :, None] * B[:, t, None, None, :])
-        ddelta[:, t] = s_decay * a * A[:, t] + s_input
-        da += np.einsum("bh,bh->h", s_decay, delta[:, t] * A[:, t])
-        dx[:, t] += delta[:, t, :, None] * np.einsum("bhpn,bn->bhp", G, B[:, t])
-        dB[:, t] = (delta[:, t, :, None] * np.einsum("bhpn,bhp->bhn", G, x[:, t])).sum(axis=1)
-        G = A[:, t, :, None, None] * G
-    return dx, ddelta, da, dB, dC, dD
+    N = B.shape[-1]
+    K, L = _chunking(T, chunk)
+    dt, W, E, Bc, Cc, CB = _chunk_terms(delta, a, B, C, K, L)
+    xc, gc = _chunked(x, K, L), _chunked(g, K, L)
+    E_l = E.transpose(0, 1, 3, 2)[..., None]  # (Bsz,K,L,H,1)
+    S_f = S.reshape(Bsz, K, H * P, N)
+    # the entering state's share
+    gE = (gc * E_l).reshape(Bsz, K, L, H * P)
+    dC = gE @ S_f
+    gS = (gE.swapaxes(-1, -2) @ Cc).reshape(Bsz, K, H, P, N)
+    CS = (Cc @ S_f.swapaxes(-1, -2)).reshape(Bsz, K, L, H, P)
+    dcum = ((gc * CS).sum(-1) * E_l[..., 0]).transpose(0, 1, 3, 2)
+    # the carry S[k+1] = decay[k] S[k] + Z[k], backwards
+    decay = E[..., -1]
+    gZ = np.empty_like(S)
+    G = np.zeros_like(S[:, 0])  # gradient of the state leaving chunk k
+    for k in range(K - 1, -1, -1):
+        gZ[:, k] = G
+        dcum[:, k, :, -1] += np.einsum("bhpn,bhpn->bh", G, S[:, k]) * decay[:, k]
+        G = gS[:, k] + decay[:, k, :, None, None] * G
+    # the chunk-end inputs Z = (w_end x)ᵀ·B
+    w_end = W[..., -1, :] * dt
+    w_end_l = w_end.transpose(0, 1, 3, 2)[..., None]
+    gZ_f = gZ.reshape(Bsz, K, H * P, N)
+    R = (Bc @ gZ_f.swapaxes(-1, -2)).reshape(Bsz, K, L, H, P)
+    dx = w_end_l * R
+    dB = (xc * w_end_l).reshape(Bsz, K, L, H * P) @ gZ_f
+    dw_end = (xc * R).sum(-1).transpose(0, 1, 3, 2)
+    # inside a chunk, y = M·x with M = C·Bᵀ * W * delta_s
+    xh, gh = xc.transpose(0, 1, 3, 2, 4), gc.transpose(0, 1, 3, 2, 4)
+    M = CB[:, :, None] * W * dt[..., None, :]
+    dx += (M.swapaxes(-1, -2) @ gh).transpose(0, 1, 3, 2, 4)
+    dMW = (gh @ xh.swapaxes(-1, -2)) * W
+    dCB = (dMW * dt[..., None, :]).sum(axis=2)
+    dMW *= CB[:, :, None]
+    ddt = dMW.sum(-2) + dw_end * W[..., -1, :]
+    dseg = dMW * dt[..., None, :]
+    dseg[..., -1, :] += dw_end * w_end
+    dC += dCB @ Bc
+    dB += dCB.swapaxes(-1, -2) @ Cc
+    # through the masked cumsums to the log decays delta*a
+    Q = _cumsum_matrix(L, x.dtype)
+    ddA = np.concatenate([dseg.reshape(Bsz, K, H, L * L), dcum], axis=-1) @ Q.T
+    ddt += ddA * a[:, None]
+    return (dx.reshape(Bsz, K * L, H, P)[:, :T] + D[:, None] * g,
+            ddt.transpose(0, 1, 3, 2).reshape(Bsz, K * L, H)[:, :T],
+            np.einsum("bkhl,bkhl->h", ddA, dt),
+            dB.reshape(Bsz, K * L, N)[:, :T],
+            dC.reshape(Bsz, K * L, N)[:, :T],
+            np.einsum("bthp,bthp->h", g, x))
 
 
-def scan_op(x: Tensor, delta: Tensor, a: Tensor, B: Tensor, C: Tensor, D: Tensor) -> Tensor:
+def scan_op(x: Tensor, delta: Tensor, a: Tensor, B: Tensor, C: Tensor, D: Tensor, *,
+            _chunk: int = CHUNK) -> Tensor:
     """Differentiable scan node: x (Bsz,T,H,P), delta (Bsz,T,H), a and D (H,),
-    and B and C (Bsz,T,N) shared by every head."""
-    y, (A, Hs) = _scan_forward(x.data, delta.data, a.data, B.data, C.data, D.data)
+    and B and C (Bsz,T,N) shared by every head. `_chunk` is for the tests."""
+    if x.data.ndim != 4:
+        raise ShapeError(f"x must be (Bsz,T,H,P), got {x.data.shape}")
+    Bsz, T, H, P = x.data.shape
+    N = B.data.shape[-1]
+    if delta.data.shape != (Bsz, T, H):
+        raise ShapeError(f"delta shape {delta.data.shape} != {(Bsz, T, H)}")
+    if B.data.shape != (Bsz, T, N) or C.data.shape != (Bsz, T, N):
+        raise ShapeError(f"B/C shapes {B.data.shape}/{C.data.shape} != {(Bsz, T, N)}")
+    if a.data.shape != (H,) or D.data.shape != (H,):
+        raise ShapeError(f"a/D shapes {a.data.shape}/{D.data.shape} != {(H,)}")
+    y, S = _ssd_forward(x.data, delta.data, a.data, B.data, C.data, D.data, _chunk)
 
     def bw(g):
-        return _scan_backward(g, x.data, delta.data, a.data, B.data, C.data, D.data, A, Hs)
+        return _ssd_backward(g, x.data, delta.data, a.data, B.data, C.data, D.data, S, _chunk)
 
     return nc.make_op(y, (x, delta, a, B, C, D), bw)
 

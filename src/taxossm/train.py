@@ -143,16 +143,20 @@ def lm_loss(state: ssm.ModelState, ids: np.ndarray, mask: np.ndarray) -> tuple[T
     """Mean next-token cross-entropy over non-PAD targets; also returns the target count."""
     dtype = state.params["embedding"].data.dtype
     hidden = ssm.model_forward(state, ids, mask)
-    logits = ssm.lm_logits(state, hidden)
-    logp = nc.log_softmax(logits[:, :-1, :], axis=-1)
-    targets = ids[:, 1:]
-    valid = (targets != PAD).astype(dtype)
-    n_valid = int(valid.sum())
-    onehot = np.zeros(logp.data.shape, dtype=dtype)
-    b_idx, t_idx = np.nonzero(targets != PAD)
-    onehot[b_idx, t_idx, targets[b_idx, t_idx]] = 1.0
-    total = nc.tsum(nc.mul(logp, Tensor(onehot)))
-    return nc.mul(total, Tensor(np.asarray(-1.0 / max(n_valid, 1), dtype=dtype))), n_valid
+    logp = nc.log_softmax(ssm.lm_logits(state, hidden)[:, :-1, :], axis=-1)
+    targets = ids[:, 1:, None]
+    n_valid = int((targets != PAD).sum())
+    # -1/n at each non-PAD target: the loss weighs the gathered log-probs by it,
+    # and it is the loss's gradient there
+    weight = np.where(targets != PAD, -1.0 / max(n_valid, 1), 0.0).astype(dtype)
+    picked = np.take_along_axis(logp.data, targets, axis=-1)
+
+    def bw(g):
+        dlogp = np.zeros_like(logp.data)
+        np.put_along_axis(dlogp, targets, g * weight, axis=-1)
+        return (dlogp,)
+
+    return nc.make_op(np.asarray((picked * weight).sum(), dtype=dtype), (logp,), bw), n_valid
 
 
 def weighted_cross_entropy(

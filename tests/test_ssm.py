@@ -84,6 +84,72 @@ def chunked_scan(x, delta, a, B, C, D, chunk_size):
     return y
 
 
+def reference_scan_forward(x, delta, a, B, C, D):
+    """The recurrence one position at a time, batched, with B and C shared by the
+    heads: x (Bsz,T,H,P), delta (Bsz,T,H), B and C (Bsz,T,N). Also returns the
+    decays and every per-step state, which reference_scan_backward reads."""
+    Bsz, T, H, P = x.shape
+    A = np.exp(delta * a)  # (Bsz,T,H)
+    Hs = np.empty((Bsz, T, H, P, B.shape[-1]), dtype=x.dtype)
+    state = np.zeros((Bsz, H, P, B.shape[-1]), dtype=x.dtype)
+    y = np.empty_like(x)
+    for t in range(T):
+        state = A[:, t, :, None, None] * state + delta[:, t, :, None, None] * (
+            x[:, t, :, :, None] * B[:, t, None, None, :])
+        Hs[:, t] = state
+        y[:, t] = np.einsum("bhpn,bn->bhp", state, C[:, t])
+    return y + D[None, None, :, None] * x, A, Hs
+
+
+def reference_scan_backward(g, x, delta, a, B, C, D, A, Hs):
+    """Adjoint of reference_scan_forward, one position at a time, backwards."""
+    Bsz, T, H, P = x.shape
+    dD = np.einsum("bthp,bthp->h", g, x)
+    dx = D[None, None, :, None] * g
+    ddelta = np.empty_like(delta)
+    dB = np.empty_like(B)
+    dC = np.empty_like(C)
+    da = np.zeros_like(a)
+    G = np.zeros((Bsz, H, P, Hs.shape[-1]), dtype=x.dtype)
+    for t in range(T - 1, -1, -1):
+        G = G + g[:, t, :, :, None] * C[:, t, None, None, :]
+        # sum per head, then over heads: one f32 pass over all H*P terms
+        # doubles the rounding error of dB and dC
+        dC[:, t] = np.einsum("bhpn,bhp->bhn", Hs[:, t], g[:, t]).sum(axis=1)
+        h_prev = Hs[:, t - 1] if t > 0 else np.zeros_like(G)
+        s_decay = np.einsum("bhpn,bhpn->bh", G, h_prev)
+        s_input = np.einsum("bhpn,bhpn->bh", G, x[:, t, :, :, None] * B[:, t, None, None, :])
+        ddelta[:, t] = s_decay * a * A[:, t] + s_input
+        da += np.einsum("bh,bh->h", s_decay, delta[:, t] * A[:, t])
+        dx[:, t] += delta[:, t, :, None] * np.einsum("bhpn,bn->bhp", G, B[:, t])
+        dB[:, t] = (delta[:, t, :, None] * np.einsum("bhpn,bhp->bhn", G, x[:, t])).sum(axis=1)
+        G = A[:, t, :, None, None] * G
+    return dx, ddelta, da, dB, dC, dD
+
+
+def scan_node_grads(args, g, **kw):
+    """y and the six input gradients of the package scan node under the cotangent g."""
+    params = [Tensor(v, requires_grad=True) for v in args]
+    y = scan_op(*params, **kw)
+    nc.backward(nc.tsum(nc.mul(y, Tensor(g))))
+    return y.data, [p.grad for p in params]
+
+
+def batched_scan_inputs(rng, Bsz=2, T=22, H=3, P=4, N=5):
+    """f64 inputs of the package's shapes: x (Bsz,T,H,P), delta (Bsz,T,H), B and C (Bsz,T,N)."""
+    x = rng.normal(size=(Bsz, T, H, P))
+    delta = np.exp(rng.normal(size=(Bsz, T, H)) * 0.4) * 0.05
+    a = -np.exp(rng.uniform(0.0, 1.5, size=H))
+    B = rng.normal(size=(Bsz, T, N))
+    C = rng.normal(size=(Bsz, T, N))
+    D = rng.normal(size=H)
+    return x, delta, a, B, C, D
+
+
+def max_rel(u, v):
+    return np.abs(u - v).max() / max(np.abs(v).max(), 1e-30)
+
+
 def shared_scan(x, delta, a, B, C, D):
     """The package kernel on one sequence: x (T,H,P), delta (T,H), B and C (T,N)."""
     args = (x[None], delta[None], a, B[None], C[None], D)
@@ -139,6 +205,70 @@ def test_chunked_matches_sequential_f64(rng):
     for cs in (1, 7, 16, 48):
         y_ch = chunked_scan(x, delta, a, per_head(B[:, 0], H), per_head(C[:, 0], H), D, cs)
         assert np.abs(y_ch - y_seq).max() < 1e-10
+
+
+T_ODD = 22  # no chunk length below divides it
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16, T_ODD, T_ODD + 3])
+def test_chunked_kernel_matches_reference_adjoint_f64(rng, chunk):
+    args = batched_scan_inputs(rng, T=T_ODD)
+    y_ref, A, Hs = reference_scan_forward(*args)
+    g = rng.normal(size=y_ref.shape)
+    y, grads = scan_node_grads(args, g, _chunk=chunk)
+    assert max_rel(y, y_ref) < 1e-12
+    for name, got, want in zip("x delta a B C D".split(), grads,
+                               reference_scan_backward(g, *args, A, Hs)):
+        assert got.shape == want.shape
+        assert max_rel(got, want) < 1e-12, name
+
+
+def test_chunked_kernel_f32_after_a_large_step_is_no_worse_than_the_loop(rng):
+    # a large delta opens each chunk, tiny ones follow: segment sums taken as
+    # differences of prefix sums would lose the tiny steps in f32 (about 100x
+    # the loop's error on y and on da)
+    args = batched_scan_inputs(rng, Bsz=1, T=48)
+    args[1][:, ::16] = 200.0
+    y64, A, Hs = reference_scan_forward(*args)
+    g = rng.normal(size=y64.shape)
+    want = [y64, *reference_scan_backward(g, *args, A, Hs)]
+    args32 = [v.astype(np.float32) for v in args]
+    g32 = g.astype(np.float32)
+    y_loop, A32, Hs32 = reference_scan_forward(*args32)
+    loop = [y_loop, *reference_scan_backward(g32, *args32, A32, Hs32)]
+    y, grads = scan_node_grads(args32, g32)
+    # the kernel sums in another order than the loop: a few f32 roundings apart
+    slack = 8 * np.finfo(np.float32).eps
+    for name, ours, theirs, ref in zip("y x delta a B C D".split(), [y, *grads], loop, want):
+        assert ours.dtype == np.float32
+        err, loop_err = max_rel(ours, ref), max_rel(theirs, ref)
+        assert err <= loop_err + slack, (name, err, loop_err)
+
+
+def _closure_arrays(fn, inputs):
+    """Element count of the arrays a closure holds, other than the input buffers."""
+    seen, total = {id(v) for v in inputs}, 0
+    stack = [c.cell_contents for c in fn.__closure__ or ()]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, np.ndarray) and id(v) not in seen:
+            seen.add(id(v))
+            total += v.size
+        elif isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif isinstance(v, dict):
+            stack.extend(v.values())
+    return total
+
+
+@pytest.mark.parametrize("T", [1, 16, 45])
+def test_scan_node_keeps_only_the_chunk_start_states(rng, T):
+    Bsz, H, P, N = 2, 3, 4, 5
+    args = batched_scan_inputs(rng, Bsz=Bsz, T=T, H=H, P=P, N=N)
+    params = [Tensor(v, requires_grad=True) for v in args]
+    y = scan_op(*params)
+    held = _closure_arrays(y._backward, [p.data for p in params])
+    assert held <= -(-T // ssm.CHUNK) * Bsz * H * P * N
 
 
 def _scan_args():

@@ -18,7 +18,7 @@ from taxossm.numcore import Tensor
 from taxossm.records import BarcodeRecord, make_label
 from taxossm.seqdata import SynthConfig, split_dataset, synth_generate
 from taxossm.taxonomy import Taxonomy, build_taxonomy, class_weights, smooth_target
-from taxossm.tokenizers import bpe_train, char_vocab
+from taxossm.tokenizers import PAD, bpe_train, char_vocab
 from taxossm.train import (
     AdamW,
     TrainConfig,
@@ -127,6 +127,35 @@ def test_lm_loss_uniform_bound():
     loss, n_valid = lm_loss(state, ids, mask)
     assert n_valid == 5  # 3 + 2 shifted targets
     assert abs(float(loss.data) - np.log(len(vocab))) < 1e-6
+
+
+def test_lm_loss_matches_the_dense_one_hot_loss_and_its_gradient(rng):
+    vocab = char_vocab()
+    cfg = ssm.ModelConfig(vocab_size=len(vocab), d_model=8, n_blocks=1, head_dim=4,
+                          d_state=4, max_len=16)
+    state = ssm.init_model(cfg, seed=0).astype(np.float64)
+    state.params["lm_head"].data[:] = rng.normal(size=(8, len(vocab)))
+    ids, mask = pad_batch([[2, 4, 5, 6, 3], [2, 6, 3]])
+
+    def grads_of(loss):
+        for p in state.params.values():
+            p.grad = None
+        nc.backward(loss)
+        return {k: p.grad for k, p in state.params.items()}
+
+    loss, n_valid = lm_loss(state, ids, mask)
+    got = grads_of(loss)
+    # the dense form: a (B, T-1, V) one-hot of the non-PAD targets
+    logp = nc.log_softmax(ssm.lm_logits(state, ssm.model_forward(state, ids, mask))[:, :-1, :])
+    onehot = np.zeros(logp.data.shape)
+    b, t = np.nonzero(ids[:, 1:] != PAD)
+    onehot[b, t, ids[b, t + 1]] = 1.0
+    dense = nc.mul(nc.tsum(nc.mul(logp, Tensor(onehot))), Tensor(np.asarray(-1.0 / n_valid)))
+    assert n_valid == 6
+    assert abs(float(loss.data) - float(dense.data)) < 1e-12
+    want = grads_of(dense)
+    for name in state.params:
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_wce_uniform_logits_unweighted(toy_taxonomy):
