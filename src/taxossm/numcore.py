@@ -9,6 +9,7 @@ graph belongs to a single thread.
 from __future__ import annotations
 
 import math
+import zlib
 
 import numpy as np
 
@@ -454,7 +455,7 @@ def make_op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# gradient checking and tensor file format
+# gradient checking and the one-tensor encoding of checkpoint blobs
 
 
 def grad_check(f, params: list[Tensor], step: float = 1e-5, max_coords: int = 24, rng=None) -> float:
@@ -500,35 +501,36 @@ _DTYPE_TOKENS = {F32: "f32", F64: "f64"}
 _TOKEN_DTYPES = {"f32": "<f4", "f64": "<f8"}
 
 
-def save_tensor(path, arr: np.ndarray):
-    """One ASCII header line ("f32 dim0 dim1 ..."), then raw little-endian values."""
+def save_tensor(fh, arr: np.ndarray) -> dict:
+    """Append `arr`'s raw little-endian values to the binary file `fh`. Returns
+    the index entry `load_tensor` decodes them by: the dtype token ("f32" or
+    "f64"), the shape, the byte offset in the file and the bytes' zlib.crc32."""
     token = _DTYPE_TOKENS.get(arr.dtype)
     if token is None:
         raise ShapeError(f"cannot dump dtype {arr.dtype}")
-    header = " ".join([token] + [str(d) for d in arr.shape]) + "\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(arr, dtype=_TOKEN_DTYPES[token]).tobytes())
+    raw = np.ascontiguousarray(arr, dtype=_TOKEN_DTYPES[token])
+    entry = {"dtype": token, "shape": list(arr.shape), "offset": fh.tell(),
+             "crc32": zlib.crc32(raw)}
+    fh.write(raw)
+    return entry
 
 
-def load_tensor(path) -> np.ndarray:
-    """Inverse of save_tensor; a missing header, an unknown dtype token or a
-    payload whose size disagrees with the header raises ParseError naming the file."""
-    with open(path, "rb") as fh:
-        try:
-            token, *dims = fh.readline().decode("ascii").split()
-            dims = tuple(int(d) for d in dims)
-        except ValueError as exc:  # empty file, non-ASCII or non-integer header
-            raise ParseError(f"malformed tensor header ({exc})", path=path) from None
-        if token not in _TOKEN_DTYPES:
-            raise ParseError(f"unknown dtype token '{token}'", path=path)
-        raw = fh.read()
-    dtype = np.dtype(_TOKEN_DTYPES[token])
-    expected = dtype.itemsize * math.prod(dims)
+def load_tensor(raw, entry: dict, path, name: str) -> np.ndarray:
+    """Inverse of save_tensor: decode `raw`, the bytes the index `entry` spans in
+    the file `path`. An entry that is not one save_tensor writes, a byte count
+    that disagrees with the dtype and shape, or a crc32 other than the entry's
+    raises ParseError naming `path` and the tensor `name`."""
+    try:
+        dtype = np.dtype(_TOKEN_DTYPES[entry["dtype"]])
+        shape = tuple(int(d) for d in entry["shape"])
+        crc = int(entry["crc32"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"tensor {name}: malformed index entry {entry!r} ({exc!r})",
+                         path=path) from None
+    expected = dtype.itemsize * math.prod(shape)
     if len(raw) != expected:
-        raise ParseError(
-            f"payload holds {len(raw)} bytes; a {token} tensor of shape {dims} needs {expected}",
-            path=path,
-        )
-    arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
-    return arr.astype(dtype.newbyteorder("="), copy=True)
+        raise ParseError(f"tensor {name} spans {len(raw)} bytes; a {entry['dtype']} tensor "
+                         f"of shape {shape} needs {expected}", path=path)
+    if zlib.crc32(raw) != crc:
+        raise ParseError(f"tensor {name} fails its crc32 check", path=path)
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))

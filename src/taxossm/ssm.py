@@ -400,10 +400,14 @@ def model_forward(state: ModelState, token_ids: np.ndarray, pad_mask: np.ndarray
 
     `pad_mask` is 1.0 at real positions and 0.0 at PAD; padded positions are
     re-zeroed between blocks so they cannot leak through the conv or the scan.
+    T above `config.max_len` raises ShapeError.
     """
     token_ids = np.asarray(token_ids)
     if token_ids.ndim != 2:
         raise ShapeError(f"token_ids must be (batch, T), got {token_ids.shape}")
+    if token_ids.shape[1] > state.config.max_len:
+        raise ShapeError(f"sequences of {token_ids.shape[1]} tokens exceed max_len "
+                         f"{state.config.max_len}")
     dtype = state.params["embedding"].data.dtype
     mask = Tensor(np.asarray(pad_mask, dtype=dtype)[:, :, None])
     h = nc.mul(nc.embedding_lookup(state.params["embedding"], token_ids), mask)

@@ -76,7 +76,10 @@ def kmer_vocab(k: int) -> Vocab:
 
 
 def _frame(body: list[int], max_len: int) -> TokenSequence:
-    return TokenSequence([BOS] + body[:max_len] + [EOS])
+    """BOS, the body, EOS: the body is cut so the whole holds at most `max_len` ids."""
+    if max_len < 2:
+        raise ConfigError(f"max_len must leave room for BOS and EOS, got {max_len}")
+    return TokenSequence([BOS] + body[:max_len - 2] + [EOS])
 
 
 def char_encode(vocab: Vocab, sequence: str, max_len: int = 10**9) -> TokenSequence:

@@ -200,10 +200,15 @@ def weighted_cross_entropy(
 # checkpointing
 
 
+# the checkpoint layout this build writes and reads: 2 is one blob holding
+# every tensor group; 1, which had no `format_version` key, was one file per tensor
+FORMAT_VERSION = 2
+_BLOB = "tensors.bin"
 # what `_fit` and `_write_checkpoint` write
-_MANIFEST_KEYS = {"stage", "model_config", "train_config", "norm_param_names", "class_counts",
-                  "epoch", "history", "best_epoch", "best_val_loss", "bad_epochs", "adam_step",
-                  "rng_state", "tensors", "vocab_file", "taxonomy_file"}
+_MANIFEST_KEYS = {"format_version", "stage", "model_config", "train_config", "norm_param_names",
+                  "class_counts", "epoch", "history", "best_epoch", "best_val_loss",
+                  "bad_epochs", "adam_step", "rng_state", "tensors", "vocab_file",
+                  "taxonomy_file"}
 
 
 def _key_set_errors(what: str, keys, expected: set) -> list[str]:
@@ -213,7 +218,9 @@ def _key_set_errors(what: str, keys, expected: set) -> list[str]:
 
 
 class Checkpoint:
-    """A checkpoint directory: manifest.json plus one raw tensor file per array."""
+    """A checkpoint directory: manifest.json, the vocabulary, the taxonomy if the
+    model has heads, and the blob tensors.bin, whose tensors the manifest indexes
+    per group by dtype, shape, byte offset and crc32."""
 
     def __init__(self, directory):
         self.dir = Path(directory)
@@ -225,6 +232,12 @@ class Checkpoint:
             raise ParseError(f"unreadable checkpoint manifest ({exc})", path=path) from None
         if not isinstance(self.manifest, dict):
             raise ParseError("checkpoint manifest is not a JSON object", path=path)
+        version = self.manifest.get("format_version")
+        if version != FORMAT_VERSION:
+            found = ("no format_version (format 1, a file per tensor)" if version is None
+                     else f"format_version {version!r}")
+            raise ParseError(f"checkpoint has {found}; this build reads format_version "
+                             f"{FORMAT_VERSION}", path=path)
         errors = _key_set_errors("manifest", self.manifest, _MANIFEST_KEYS)
         for key, cls in (("model_config", ssm.ModelConfig), ("train_config", TrainConfig)):
             section = self.manifest.get(key)
@@ -239,9 +252,34 @@ class Checkpoint:
         return ssm.ModelConfig(**self.manifest["model_config"])
 
     def load_arrays(self, group: str) -> dict[str, np.ndarray]:
+        """The tensors of `group`. The blob is read in one read and every tensor
+        in it is checked, whichever group it belongs to: the tensors lie back to
+        back, so each one's bytes run to the next one's offset and the last one's
+        to the end of the blob, and `load_tensor` checks that byte count against
+        the shape and then the crc32."""
+        path = self.dir / _BLOB
+        try:
+            blob = memoryview(path.read_bytes())
+        except FileNotFoundError:
+            raise ParseError("checkpoint tensor blob is missing", path=path) from None
+        index = self.manifest["tensors"]
+        try:
+            layout = sorted((entry["offset"], g, name)
+                            for g, entries in index.items() for name, entry in entries.items())
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ParseError(f"malformed tensor index ({exc!r})",
+                             path=self.dir / "manifest.json") from None
+        if group not in index:
+            raise ParseError(f"tensor index has no group '{group}'",
+                             path=self.dir / "manifest.json")
+        if layout and layout[0][0] != 0:
+            raise ParseError(f"the first tensor starts at byte {layout[0][0]}, not 0", path=path)
+        ends = [offset for offset, _, _ in layout[1:]] + [len(blob)]
         out = {}
-        for name in self.manifest["tensors"][group]:
-            out[name] = nc.load_tensor(self.dir / group / (name + ".bin"))
+        for (offset, g, name), end in zip(layout, ends):
+            arr = nc.load_tensor(blob[offset:end], index[g][name], path, f"{g}/{name}")
+            if g == group:
+                out[name] = arr
         return out
 
     def load_model(self) -> ssm.ModelState:
@@ -259,16 +297,30 @@ class Checkpoint:
         return Taxonomy.load(self.dir / self.manifest["taxonomy_file"])
 
 
+def _fsync(path: Path):
+    """Make `path`'s data (a file) or its entries (a directory) durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _write_checkpoint(dest: Path, manifest: dict, groups: dict[str, dict[str, np.ndarray]],
                       vocab: Vocab, taxonomy: Taxonomy | None):
-    """Write-temp-then-rename so readers never observe a half-written checkpoint."""
+    """Write-temp-then-rename so readers never observe a half-written checkpoint.
+    Every file and the temporary directory are fsync'd before the renames and the
+    parent directory after them, so a crash leaves `dest` or `dest.old` whole."""
     dest = Path(dest)
     tmp = dest.parent / (dest.name + f".tmp{os.getpid()}")
     if tmp.exists():
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
-    manifest = dict(manifest)
-    manifest["tensors"] = {g: sorted(arrays) for g, arrays in groups.items()}
+    manifest = dict(manifest, format_version=FORMAT_VERSION, tensors={})
+    with open(tmp / _BLOB, "wb") as fh:
+        for group, arrays in groups.items():
+            manifest["tensors"][group] = {name: nc.save_tensor(fh, arrays[name])
+                                          for name in sorted(arrays)}
     manifest["vocab_file"] = "vocab.txt"
     save_vocab(vocab, tmp / "vocab.txt")
     if taxonomy is not None:
@@ -276,19 +328,17 @@ def _write_checkpoint(dest: Path, manifest: dict, groups: dict[str, dict[str, np
         taxonomy.save(tmp / "taxonomy.json")
     else:
         manifest["taxonomy_file"] = None
-    for group, arrays in groups.items():
-        gdir = tmp / group
-        gdir.mkdir()
-        for name, arr in arrays.items():
-            nc.save_tensor(gdir / (name + ".bin"), arr)
     with open(tmp / "manifest.json", "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
+    for path in [*tmp.iterdir(), tmp]:
+        _fsync(path)
     old = dest.parent / (dest.name + ".old")
     if old.exists():  # leftover from an interrupted write
         shutil.rmtree(old)
     if dest.exists():
         dest.replace(old)
     tmp.replace(dest)
+    _fsync(dest.parent)
     if old.exists():
         shutil.rmtree(old)
 

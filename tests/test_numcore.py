@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -227,32 +229,41 @@ def test_no_grad_suppresses_graph():
 
 
 def test_tensor_dump_round_trip(tmp_path, rng):
-    for dtype in (np.float32, np.float64):
-        arr = rng.normal(size=(3, 4, 2)).astype(dtype)
-        path = tmp_path / f"t_{dtype.__name__}.bin"
-        nc.save_tensor(path, arr)
-        back = nc.load_tensor(path)
-        assert back.dtype == arr.dtype and np.array_equal(back, arr)
-        # header is ASCII and self-describing; payload is little-endian raw values
-        raw = path.read_bytes()
-        header, _, payload = raw.partition(b"\n")
-        assert header.decode("ascii").split()[1:] == ["3", "4", "2"]
-        assert payload == arr.astype("<" + arr.dtype.str[1:]).tobytes()
+    arrays = [rng.normal(size=(3, 4, 2)).astype(np.float32), rng.normal(size=(5,)),
+              np.asarray(2.5, dtype=np.float32)]
+    path = tmp_path / "blob.bin"
+    with open(path, "wb") as fh:
+        entries = [nc.save_tensor(fh, arr) for arr in arrays]
+    raw = path.read_bytes()
+    # raw little-endian values back to back, each indexed by offset and crc32
+    assert raw == b"".join(arr.astype("<" + arr.dtype.str[1:]).tobytes() for arr in arrays)
+    assert [e["offset"] for e in entries] == [0, 96, 136]
+    assert entries[0] == {"dtype": "f32", "shape": [3, 4, 2], "offset": 0,
+                          "crc32": zlib.crc32(raw[:96])}
+    ends = [e["offset"] for e in entries[1:]] + [len(raw)]
+    for arr, entry, end in zip(arrays, entries, ends):
+        back = nc.load_tensor(raw[entry["offset"]:end], entry, path, "t")
+        assert back.dtype == arr.dtype and back.shape == arr.shape and np.array_equal(back, arr)
+        assert back.flags.writeable
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda raw: raw[:-3],          # truncated payload
-    lambda raw: raw + b"\x00" * 4,  # extra trailing bytes
-    lambda raw: b"",               # empty file
-    lambda raw: b"f16 2\n" + b"\x00" * 4,  # unknown dtype token
-], ids=["truncated", "trailing_bytes", "empty", "unknown_dtype"])
-def test_load_tensor_corrupt_file_raises_parse_error_naming_it(tmp_path, corrupt):
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda raw, e: (raw[:-3], e), "tensor w spans 21 bytes"),        # truncated payload
+    (lambda raw, e: (raw + b"\x00" * 4, e), "tensor w spans 28 bytes"),  # extra trailing bytes
+    (lambda raw, e: (b"", e), "tensor w spans 0 bytes"),              # empty span
+    (lambda raw, e: (raw, dict(e, dtype="f16")), "malformed index entry"),  # unknown dtype
+    (lambda raw, e: (raw[:4] + bytes([raw[4] ^ 1]) + raw[5:], e), "fails its crc32"),
+    (lambda raw, e: (raw, dict(e, shape=[3, 3])), "shape (3, 3) needs 36"),
+], ids=["truncated", "trailing_bytes", "empty", "unknown_dtype", "bit_flip", "wrong_shape"])
+def test_load_tensor_corrupt_file_raises_parse_error_naming_it(tmp_path, corrupt, message):
     path = tmp_path / "w.bin"
-    nc.save_tensor(path, np.arange(6, dtype=np.float32).reshape(2, 3))
-    path.write_bytes(corrupt(path.read_bytes()))
+    with open(path, "wb") as fh:
+        entry = nc.save_tensor(fh, np.arange(6, dtype=np.float32).reshape(2, 3))
+    raw, entry = corrupt(path.read_bytes(), entry)
     with pytest.raises(ParseError) as err:
-        nc.load_tensor(path)
+        nc.load_tensor(raw, entry, path, "w")
     assert err.value.path == path and str(path) in str(err.value)
+    assert message in str(err.value)
 
 
 def test_forward_ops_produce_finite_values(rng):

@@ -1,9 +1,10 @@
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from taxossm.errors import ConfigError, EmptyDatasetError, ParseError
-from taxossm.records import BarcodeRecord, make_label
+from taxossm.records import IUPAC_ALPHABET, N_RANKS, BarcodeRecord, make_label
 from taxossm.seqdata import (
     FilterConfig,
     SynthConfig,
@@ -73,6 +74,33 @@ def test_fasta_round_trip(tmp_path):
     ]
     path = tmp_path / "round.fasta"
     write_fasta(records, path, width=16)
+    assert parse_fasta(path) == records
+
+
+# header fields: no ';' or '|', which separate them, no line breaks, and no
+# whitespace at either end, which the parser strips
+header_fields = st.text(
+    st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"), exclude_characters=";|"),
+    min_size=1, max_size=12).map(str.strip).filter(bool)
+
+
+@st.composite
+def fasta_records(draw):
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        depth = draw(st.integers(0, N_RANKS))
+        names = draw(st.lists(header_fields, min_size=depth, max_size=depth))
+        sequence = draw(st.text(sorted(IUPAC_ALPHABET), min_size=1, max_size=200))
+        records.append(BarcodeRecord(draw(header_fields), sequence, make_label(*names)))
+    return records
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=fasta_records(), width=st.integers(1, 100))
+def test_fasta_write_parse_round_trip_for_any_records(tmp_path, records, width):
+    path = tmp_path / "round.fasta"
+    write_fasta(records, path, width=width)
     assert parse_fasta(path) == records
 
 

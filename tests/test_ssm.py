@@ -437,6 +437,15 @@ def test_model_rejects_out_of_range_ids():
     assert "range" in str(err.value)
 
 
+def test_model_rejects_sequences_longer_than_max_len():
+    cfg = tiny_config(max_len=6)
+    state = init_model(cfg, seed=0)
+    ids = np.full((1, 7), 4)
+    model_forward(state, ids[:, :6], np.ones((1, 6)))
+    with pytest.raises(ShapeError, match="sequences of 7 tokens exceed max_len 6"):
+        model_forward(state, ids, np.ones((1, 7)))
+
+
 def test_lm_uniform_at_init():
     cfg = tiny_config(n_blocks=2)
     state = init_model(cfg, seed=0)  # zero LM head

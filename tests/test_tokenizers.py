@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from taxossm.errors import ConfigError, ParseError
 from taxossm.records import IUPAC_ALPHABET
@@ -80,8 +80,11 @@ def test_specials_occupy_first_four_ids_everywhere():
 def test_max_len_truncation():
     v = char_vocab()
     out = char_encode(v, "ACGT" * 10, max_len=5)
-    assert len(out) == 7 and out.ids[0] == BOS and out.ids[-1] == EOS
-    assert decode(v, out) == "ACGTA"
+    assert len(out) == 5 and out.ids[0] == BOS and out.ids[-1] == EOS
+    assert decode(v, out) == "ACG"
+    assert char_encode(v, "ACGT", max_len=2).ids == [BOS, EOS]
+    with pytest.raises(ConfigError):
+        char_encode(v, "ACGT", max_len=1)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +399,28 @@ def test_vocab_file_round_trip(tmp_path, rng):
         assert back.kmer_k == v.kmer_k
         assert back.token_to_id == v.token_to_id
         assert back.merges == v.merges
+
+
+@st.composite
+def vocabs(draw):
+    kind = draw(st.sampled_from(("char", "kmer", "bpe")))
+    if kind == "char":
+        return char_vocab()
+    if kind == "kmer":
+        return kmer_vocab(draw(st.integers(1, 4)))
+    corpus, vocab_size, _ = draw(bpe_cases())
+    return bpe_train(corpus, vocab_size)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(vocab=vocabs())
+def test_vocab_save_load_round_trip_for_any_vocab(tmp_path, vocab):
+    path = tmp_path / "vocab.txt"
+    save_vocab(vocab, path)
+    back = load_vocab(path)
+    assert (back.kind, back.kmer_k, back.token_to_id, back.merges, back.id_to_token) == (
+        vocab.kind, vocab.kmer_k, vocab.token_to_id, vocab.merges, vocab.id_to_token)
 
 
 def test_vocab_load_rejects_corrupted_merges(tmp_path, rng):

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -622,3 +623,113 @@ def test_checkpoint_manifest_with_other_keys_names_them(tmp_path, edit, named):
     with pytest.raises(ParseError) as err:
         train.Checkpoint(final)
     assert str(err.value) == f"{final / 'manifest.json'}: checkpoint {named}"
+
+
+def _flip_first_byte_of(name):
+    def flip(final, manifest):
+        blob = final / "tensors.bin"
+        raw = bytearray(blob.read_bytes())
+        raw[manifest["tensors"]["params"][name]["offset"]] ^= 0x10
+        blob.write_bytes(bytes(raw))
+    return flip
+
+
+def _grow_shape_of(name):
+    def grow(final, manifest):
+        manifest["tensors"]["params"][name]["shape"][0] += 1
+        (final / "manifest.json").write_text(json.dumps(manifest))
+    return grow
+
+
+@pytest.mark.parametrize("fault, named", [
+    (lambda final, _: (final / "tensors.bin").write_bytes(
+        (final / "tensors.bin").read_bytes()[:-1]), "tensor params/lm_head spans"),
+    (_flip_first_byte_of("blocks.0.w_val"),
+     "tensor params/blocks.0.w_val fails its crc32 check"),
+    (_grow_shape_of("blocks.0.w_val"), "tensor params/blocks.0.w_val spans"),
+    (lambda final, _: (final / "tensors.bin").unlink(), "checkpoint tensor blob is missing"),
+], ids=["truncated", "bit_flip", "wrong_shape", "missing"])
+def test_corrupt_checkpoint_blob_raises_parse_error_naming_it(tmp_path, fault, named):
+    train_recs, val_recs, _ = _synth_split()
+    vocab = char_vocab()
+    cfg = TrainConfig(stage="pretrain", max_epochs=1, batch_size=16, seed=0)
+    final = pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, tmp_path).dir
+    fault(final, json.loads((final / "manifest.json").read_text()))
+    with pytest.raises(ParseError) as err:
+        train.Checkpoint(final).load_model()
+    assert err.value.path == final / "tensors.bin"
+    assert str(err.value).startswith(f"{final / 'tensors.bin'}: {named}")
+
+
+@pytest.mark.parametrize("version, found", [
+    (None, "no format_version (format 1, a file per tensor)"), (3, "format_version 3"),
+], ids=["unversioned", "newer"])
+def test_checkpoint_of_another_format_version_names_it(tmp_path, version, found):
+    train_recs, val_recs, _ = _synth_split()
+    vocab = char_vocab()
+    cfg = TrainConfig(stage="pretrain", max_epochs=1, batch_size=16, seed=0)
+    final = pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, tmp_path).dir
+    manifest = json.loads((final / "manifest.json").read_text())
+    manifest["format_version"] = version
+    if version is None:
+        del manifest["format_version"]
+    (final / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ParseError) as err:
+        train.Checkpoint(final)
+    assert str(err.value) == (f"{final / 'manifest.json'}: checkpoint has {found}; "
+                              "this build reads format_version 2")
+
+
+def test_checkpoint_file_count_does_not_grow_with_the_tensor_count(tmp_path):
+    train_recs, val_recs, _ = _synth_split()
+    vocab = char_vocab()
+    taxo = build_taxonomy(train_recs)
+    cfg = TrainConfig(stage="scratch", max_epochs=1, batch_size=16, seed=0)
+    listings = []
+    for n_blocks in (1, 3):
+        out = tmp_path / f"blocks{n_blocks}"
+        finetune(train_recs, val_recs, taxo, vocab, cfg, out,
+                 model_cfg=_tiny_model(vocab, n_blocks=n_blocks))
+        listings.append({d: sorted(p.name for p in (out / d).iterdir())
+                         for d in ("last", "final")})
+    files = ["manifest.json", "taxonomy.json", "tensors.bin", "vocab.txt"]
+    assert listings[0] == listings[1] == {"last": files, "final": files}
+
+
+def test_checkpoint_write_fsyncs_its_files_before_the_renames_and_the_parent_after(
+        tmp_path, monkeypatch):
+    out = tmp_path / "pt"
+    synced = []  # (path, whether a temporary directory was still waiting for its rename)
+    fsync = train._fsync
+
+    def record(path):
+        synced.append((Path(path), any(".tmp" in p.name for p in out.iterdir())))
+        fsync(path)
+
+    monkeypatch.setattr(train, "_fsync", record)
+    train_recs, val_recs, _ = _synth_split()
+    vocab = char_vocab()
+    cfg = TrainConfig(stage="pretrain", max_epochs=1, batch_size=16, seed=0)
+    pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, out)
+
+    assert len(synced) == 2 * 5
+    for dest, calls in (("last", synced[:5]), ("final", synced[5:])):
+        tmp = out / f"{dest}.tmp{os.getpid()}"
+        assert {path for path, _ in calls[:-2]} == {
+            tmp / "manifest.json", tmp / "tensors.bin", tmp / "vocab.txt"}
+        assert all(pending for _, pending in calls[:-2])
+        assert calls[-2:] == [(tmp, True), (out, False)]
+
+
+def test_loading_one_group_checks_the_tensors_of_every_group(tmp_path):
+    train_recs, val_recs, _ = _synth_split()
+    vocab = char_vocab()
+    cfg = TrainConfig(stage="pretrain", max_epochs=1, batch_size=16, seed=0)
+    pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, tmp_path)
+    last = tmp_path / "last"
+    manifest = json.loads((last / "manifest.json").read_text())
+    blob = bytearray((last / "tensors.bin").read_bytes())
+    blob[manifest["tensors"]["opt_v"]["embedding"]["offset"]] ^= 0x01
+    (last / "tensors.bin").write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match="tensor opt_v/embedding fails its crc32 check"):
+        train.Checkpoint(last).load_arrays("params")
