@@ -304,12 +304,6 @@ def besthit_similarity(index: BestHitIndex, sequence: str) -> tuple[int, float]:
     return best, int(inter[best]) / q_size
 
 
-def besthit_classify(index: BestHitIndex, sequence: str) -> TaxonomicLabel:
-    """Full label of the most k-mer-similar training sequence."""
-    best_i, _ = besthit_similarity(index, sequence)
-    return index.labels[best_i]
-
-
 # ---------------------------------------------------------------------------
 # model inference
 

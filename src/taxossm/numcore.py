@@ -60,51 +60,11 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name})"
 
-    # arithmetic sugar; heavy lifting is in the module-level ops
-    def __add__(self, other):
-        return add(self, _wrap(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self.dtype))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return index(self, key)
-
-
-def _wrap(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
@@ -444,9 +404,8 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.data.size if axis is None else np.prod(
         [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
-    return tsum(a, axis=axis, keepdims=keepdims) * Tensor(
-        np.asarray(1.0 / count, dtype=a.data.dtype)
-    )
+    return mul(tsum(a, axis=axis, keepdims=keepdims),
+               Tensor(np.asarray(1.0 / count, dtype=a.data.dtype)))
 
 
 def make_op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:

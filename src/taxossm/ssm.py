@@ -272,9 +272,6 @@ class ModelState:
     class_counts: list[int] | None = None
     norm_param_names: set[str] = field(default_factory=set)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def astype(self, dtype) -> "ModelState":
         cast = {
             k: Tensor(v.data.astype(dtype), requires_grad=v.requires_grad)
@@ -346,27 +343,6 @@ def add_classification_heads(state: ModelState, class_counts: list[int], seed: i
     state.class_counts = list(class_counts)
 
 
-def param_count(cfg: ModelConfig, class_counts: list[int] | None = None,
-                include_lm_head: bool = True) -> int:
-    """Exact trainable-parameter count for a configuration."""
-    d, di, H, N, K, V = (cfg.d_model, cfg.d_inner, cfg.n_heads, cfg.d_state,
-                         cfg.conv_kernel, cfg.vocab_size)
-    block = (4 * d                 # two layer norms
-             + 2 * d * di          # value + gate projections
-             + di * K              # depthwise conv
-             + d * H + H           # delta projection + bias
-             + 2 * d * N           # B and C projections
-             + 2 * H               # per-head a and D
-             + di * d              # output projection
-             + d * 4 * d + 4 * d + 4 * d * d + d)  # MLP
-    total = V * d + cfg.n_blocks * block + 2 * d
-    if include_lm_head:
-        total += d * V
-    if class_counts is not None:
-        total += sum(d * class_counts[r] + class_counts[r] for r in head_ranks(cfg.head_mode))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # forward passes
 
@@ -380,7 +356,7 @@ def block_forward(params: dict[str, Tensor], prefix: str, x: Tensor, cfg: ModelC
     mix_in = nc.layer_norm(x, p["ln1_g"], p["ln1_b"])
     value = nc.silu(nc.causal_depthwise_conv(nc.matmul(mix_in, p["w_val"]), p["conv"]))
     gate = nc.matmul(mix_in, p["w_gate"])
-    delta = nc.softplus(nc.matmul(mix_in, p["w_dt"]) + p["b_dt"])  # (Bsz,T,H)
+    delta = nc.softplus(nc.add(nc.matmul(mix_in, p["w_dt"]), p["b_dt"]))  # (Bsz,T,H)
     Bm = nc.matmul(mix_in, p["w_B"])
     Cm = nc.matmul(mix_in, p["w_C"])
     a = nc.neg(nc.exp(p["a_log"]))

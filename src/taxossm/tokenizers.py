@@ -21,13 +21,22 @@ _ACGT = "ACGT"
 _SEP = "\0"  # separates sequences in a bpe_train stream; no token is chr(0)
 
 
+class _Letters(dict):
+    """Token character of each letter, by code point; any other letter reads as UNK."""
+
+    def __missing__(self, code):
+        return chr(UNK)
+
+
 @dataclass
 class Vocab:
     """Token registry for one tokenizer kind.
 
     kind is "char", "kmer" (with kmer_k set) or "bpe". Ids are contiguous with
-    the four specials first; for BPE, replaying `merges` over the character
-    alphabet reproduces the non-special part of the table.
+    the four specials first. A BPE table is the specials, the sorted letters,
+    then one token per merge in rank order; each merge joins two tokens made
+    before it into a new one, or building the vocab raises ConfigError. A BPE
+    vocab holds at most 1,114,112 tokens, one per code point.
     """
 
     kind: str
@@ -39,13 +48,30 @@ class Vocab:
         self.id_to_token = [None] * len(self.token_to_id)
         for tok, i in self.token_to_id.items():
             self.id_to_token[i] = tok
-        self._merge_rank = {pair: r for r, pair in enumerate(self.merges)}
+        if self.kind == "bpe":
+            self._build_replay()
+
+    def _build_replay(self):
+        """Spell each token as the character of its id: a letter table and, per
+        merge, the (pair, merged) strings that bpe_encode replaces in rank order.
+
+        The replay equals lowest-rank-first BPE only if each merge joins
+        letters or tokens of earlier merges (never a special: UNK stands for
+        unknown letters) and makes a new token; both are checked.
+        """
+        letters = sorted(t for t in self.token_to_id if len(t) == 1)
+        made = set(letters)
+        for a, b in self.merges:
+            if a not in made or b not in made:
+                raise ConfigError(f"merge ({a},{b}) references unknown token")
+            made.add(a + b)
+        if list(SPECIAL_NAMES) + letters + [a + b for a, b in self.merges] != self.id_to_token:
+            raise ConfigError("merge replay does not reconstruct the vocabulary")
+        char = {tok: chr(i) for tok, i in self.token_to_id.items()}
+        self._letters = _Letters({ord(t): char[t] for t in letters})
+        self._replay = [(char[a] + char[b], char[a + b]) for a, b in self.merges]
 
     def __len__(self) -> int:
-        return len(self.token_to_id)
-
-    @property
-    def size(self) -> int:
         return len(self.token_to_id)
 
 
@@ -114,11 +140,11 @@ def bpe_train(corpus: list[str], vocab_size: int) -> Vocab:
     end. Single-threaded and deterministic.
 
     The corpus is held as one string in corpus order: token id i is the
-    character chr(i) (so at most 1,114,111 tokens), with chr(0) around each
-    sequence. A merge is one `str.replace`. Pair counts live in a dict and
-    change only around the merged positions; the next merge comes from a lazy
-    max-heap keyed by (-count, concatenation) that holds only the pairs counted
-    at least twice.
+    character chr(i - 3), since the alphabet starts at chr(1), with chr(0)
+    around each sequence. A merge is one `str.replace`. Pair counts live in a
+    dict and change only around the merged positions; the next merge comes
+    from a lazy max-heap keyed by (-count, concatenation) that holds only the
+    pairs counted at least twice.
     """
     if not corpus:
         raise ConfigError("bpe_train needs a non-empty corpus")
@@ -235,55 +261,20 @@ def _pop_best(heap: list, counts: dict, key, stream: str):
 
 
 def bpe_encode(vocab: Vocab, sequence: str, max_len: int = 10**9) -> TokenSequence:
-    """Merge replay; residual symbols missing from the table map to UNK.
+    """Merge replay; letters missing from the table map to UNK.
 
-    Repeatedly applies the lowest-rank merge present, left to right without
-    overlap, over the whole sequence. The symbols form a linked list over
-    positions and a heap holds (merge rank, position) for every adjacent pair
-    that has a rank; each round pops all entries of the lowest rank and applies
-    them in position order, skipping those a merge has made stale.
+    Each letter becomes the character of its token id, then each merge in rank
+    order is one `str.replace`, left to right without overlap. The code points
+    of the result are the ids. This is BPE's lowest-rank-merge-first rule,
+    since the vocab's construction check rules out every merge list on which
+    the two differ.
     """
     if vocab.kind != "bpe":
         raise ConfigError(f"bpe_encode needs a bpe vocab, got '{vocab.kind}'")
-    rank = vocab._merge_rank
-    merges = vocab.merges
-    symbols: list[str | None] = list(sequence)    # None once merged into its left neighbour
-    n = len(symbols)
-    nxt = list(range(1, n + 1))                   # n marks the end
-    prv = list(range(-1, n - 1))
-    heap = [(r, i) for i, r in enumerate(map(rank.get, zip(symbols, symbols[1:])))
-            if r is not None]
-    heapq.heapify(heap)
-    while heap:
-        r = heap[0][0]
-        batch = []  # popped in position order; merges it makes go to later rounds
-        while heap and heap[0][0] == r:
-            batch.append(heapq.heappop(heap)[1])
-        a, b = merges[r]
-        merged = a + b
-        for i in batch:
-            j = nxt[i]
-            if j == n or symbols[i] != a or symbols[j] != b:
-                continue
-            symbols[i] = merged
-            symbols[j] = None
-            k = nxt[i] = nxt[j]
-            if k < n:
-                prv[k] = i
-                r2 = rank.get((merged, symbols[k]))
-                if r2 is not None:
-                    heapq.heappush(heap, (r2, i))
-            p = prv[i]
-            if p >= 0:
-                r2 = rank.get((symbols[p], merged))
-                if r2 is not None:
-                    heapq.heappush(heap, (r2, p))
-    body = []
-    i = 0
-    while i < n:
-        body.append(vocab.token_to_id.get(symbols[i], UNK))
-        i = nxt[i]
-    return _frame(body, max_len)
+    stream = sequence.translate(vocab._letters)
+    for pair, merged in vocab._replay:
+        stream = stream.replace(pair, merged)
+    return _frame(list(map(ord, stream)), max_len)
 
 
 def encode(vocab: Vocab, sequence: str, max_len: int = 10**9) -> TokenSequence:
@@ -357,10 +348,12 @@ def load_vocab(path) -> Vocab:
         if len(parts) != 2:
             raise ParseError(f"bad merge line '{ln}'", path=path, line=merges_at + 2 + off)
         merges.append((parts[0], parts[1]))
-    vocab = Vocab(kind, {tok: i for i, tok in enumerate(tokens)}, merges=merges, kmer_k=kmer_k)
-    if kind == "bpe":
-        _check_replay(vocab, path)
-    elif kind == "char" and tokens != char_vocab().id_to_token:
+    try:
+        vocab = Vocab(kind, {tok: i for i, tok in enumerate(tokens)}, merges=merges,
+                      kmer_k=kmer_k)
+    except ConfigError as exc:
+        raise ParseError(str(exc), path=path) from None
+    if kind == "char" and tokens != char_vocab().id_to_token:
         raise ParseError("token table differs from the char vocabulary", path=path)
     # 4**k has 2k+1 bits, so the length check bounds k by the file's size
     # before a k-mer table is built
@@ -369,17 +362,3 @@ def load_vocab(path) -> Vocab:
         raise ParseError(f"token table differs from the {kmer_k}-mer vocabulary", path=path)
     return vocab
 
-
-def _check_replay(vocab: Vocab, path):
-    """Fail loading when the merge list does not rebuild the stored table."""
-    rebuilt = list(SPECIAL_NAMES) + sorted(
-        t for t in vocab.token_to_id if t not in SPECIAL_NAMES and len(t) == 1
-    )
-    known = set(rebuilt)
-    for a, b in vocab.merges:
-        if a not in known or b not in known:
-            raise ParseError(f"merge ({a},{b}) references unknown token", path=path)
-        rebuilt.append(a + b)
-        known.add(a + b)
-    if rebuilt != vocab.id_to_token:
-        raise ParseError("merge replay does not reconstruct the vocabulary", path=path)

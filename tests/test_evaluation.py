@@ -7,7 +7,6 @@ from taxossm.errors import ConfigError, ContractError, DegenerateVarianceError
 from taxossm.evaluation import (
     RankMetrics,
     TimingResult,
-    besthit_classify,
     besthit_similarity,
     besthit_train,
     betainc_regularized,
@@ -299,9 +298,8 @@ def besthit_fixture():
 def test_besthit_exact_query_returns_its_label():
     records, index = besthit_fixture()
     for rec in records:
-        assert besthit_classify(index, rec.sequence) == rec.label
-        _, sim = besthit_similarity(index, rec.sequence)
-        assert sim == 1.0
+        best, sim = besthit_similarity(index, rec.sequence)
+        assert index.labels[best] == rec.label and sim == 1.0
 
 
 def test_besthit_no_shared_kmers_ties_to_first_index():

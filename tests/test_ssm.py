@@ -10,10 +10,10 @@ from taxossm.ssm import (
     add_classification_heads,
     block_forward,
     classify,
+    head_ranks,
     init_model,
     lm_logits,
     model_forward,
-    param_count,
     preset_config,
     scan_op,
 )
@@ -516,6 +516,24 @@ def test_classify_all_pad_sample_is_contract_error():
 
 # ---------------------------------------------------------------------------
 # parameter counting
+
+
+def param_count(cfg: ModelConfig, class_counts: list[int] | None = None) -> int:
+    """Exact trainable-parameter count for a configuration, derived by hand."""
+    d, di, H, N, K, V = (cfg.d_model, cfg.d_inner, cfg.n_heads, cfg.d_state,
+                         cfg.conv_kernel, cfg.vocab_size)
+    block = (4 * d                 # two layer norms
+             + 2 * d * di          # value + gate projections
+             + di * K              # depthwise conv
+             + d * H + H           # delta projection + bias
+             + 2 * d * N           # B and C projections
+             + 2 * H               # per-head a and D
+             + di * d              # output projection
+             + d * 4 * d + 4 * d + 4 * d * d + d)  # MLP
+    total = V * d + cfg.n_blocks * block + 2 * d + d * V  # embedding, final norm, LM head
+    if class_counts is not None:
+        total += sum(d * class_counts[r] + class_counts[r] for r in head_ranks(cfg.head_mode))
+    return total
 
 
 def test_param_count_hand_checked_tiny():

@@ -284,15 +284,17 @@ def test_bpe_train_and_encode_match_oracles(case):
 
 @st.composite
 def merge_lists(draw):
-    """Merge lists over known tokens in any order, as a vocab file may hold them,
-    including orders and repeats that bpe_train would not produce."""
-    letters = draw(st.lists(st.sampled_from("ACGT"), min_size=1, max_size=4, unique=True))
+    """Merge lists over known tokens in any order that a vocab file may hold,
+    including orders bpe_train would not produce: sorted letters, then merges
+    of tokens made earlier, each making a new token."""
+    letters = sorted(draw(st.lists(st.sampled_from("ACGT"), min_size=1, max_size=4,
+                                   unique=True)))
     known = list(letters)
     merges = []
     for _ in range(draw(st.integers(0, 12))):
         pair = (draw(st.sampled_from(known)), draw(st.sampled_from(known)))
-        merges.append(pair)
         if pair[0] + pair[1] not in known:
+            merges.append(pair)
             known.append(pair[0] + pair[1])
     table = {tok: i for i, tok in enumerate(list(SPECIAL_NAMES) + known)}
     query = draw(barcode_text("".join(letters) + "N"))
@@ -304,6 +306,23 @@ def merge_lists(draw):
 def test_bpe_encode_matches_lowest_rank_passes_for_any_merge_list(case):
     vocab, query = case
     assert bpe_encode(vocab, query).ids == lowest_rank_encode(vocab, query)
+
+
+@pytest.mark.parametrize("tokens, merges", [
+    (["A", "AA", "AAA"], [("A", "A"), ("A", "AA"), ("AA", "A")]),  # AAA made twice
+    (["A", "C", "ACC", "CC"], [("A", "CC"), ("C", "C")]),         # CC made after its use
+    (["A", "<unk>A"], [("<unk>", "A")]),                            # a special as a part
+], ids=["repeated-token", "part-made-later", "special-part"])
+def test_merge_lists_the_replay_would_misread_are_refused(tmp_path, tokens, merges):
+    table = {tok: i for i, tok in enumerate(list(SPECIAL_NAMES) + tokens)}
+    with pytest.raises(ConfigError):
+        Vocab("bpe", table, merges=merges)
+    path = tmp_path / "v.vocab"
+    path.write_text("#KIND bpe\n" + "\n".join(table) + "\n#MERGES\n"
+                    + "".join(f"{a} {b}\n" for a, b in merges))
+    with pytest.raises(ParseError) as err:
+        load_vocab(path)
+    assert err.value.path == path
 
 
 def test_bpe_on_synthetic_barcodes_matches_oracles():
