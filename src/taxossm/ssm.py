@@ -29,6 +29,7 @@ oracle.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,8 +122,9 @@ def _chunked(v: np.ndarray, K: int, L: int) -> np.ndarray:
     return v.reshape(v.shape[0], K, L, *v.shape[2:])
 
 
+@functools.lru_cache(maxsize=None)
 def _cumsum_matrix(L: int, dtype) -> np.ndarray:
-    """The (L, L*L + L) 0/1 matrix Q: for one chunk's log decays u, u @ Q is
+    """The read-only (L, L*L + L) 0/1 matrix Q: for one chunk's log decays u, u @ Q is
 
         segsum[t, s] = sum of u[r] over s < r <= t  (0 where t <= s), flattened,
         cum[t]       = sum of u[r] over r <= t.
@@ -136,7 +138,17 @@ def _cumsum_matrix(L: int, dtype) -> np.ndarray:
     t, s, q = r[:, None, None], r[None, :, None], r[None, None, :]
     seg = ((s < q) & (q <= t)).reshape(L * L, L)
     cum = r[None, :] <= r[:, None]
-    return np.concatenate([seg, cum]).T.astype(dtype)
+    Q = np.concatenate([seg, cum]).T.astype(dtype)
+    Q.flags.writeable = False  # cached: every call shares it
+    return Q
+
+
+@functools.lru_cache(maxsize=None)
+def _causal_mask(L: int, dtype) -> np.ndarray:
+    """The read-only np.tri(L): 1 on and below the diagonal, 0 above."""
+    mask = np.tri(L, dtype=dtype)
+    mask.flags.writeable = False  # cached: every call shares it
+    return mask
 
 
 def _chunk_terms(delta, a, B, C, K, L):
@@ -150,7 +162,7 @@ def _chunk_terms(delta, a, B, C, K, L):
     Bsz, H = delta.shape[0], a.shape[0]
     dt = _chunked(delta, K, L).transpose(0, 1, 3, 2)
     sums = (dt * a[:, None]) @ _cumsum_matrix(L, delta.dtype)
-    W = np.exp(sums[..., :L * L].reshape(Bsz, K, H, L, L)) * np.tri(L, dtype=delta.dtype)
+    W = np.exp(sums[..., :L * L].reshape(Bsz, K, H, L, L)) * _causal_mask(L, delta.dtype)
     E = np.exp(sums[..., L * L:])
     Bc, Cc = _chunked(B, K, L), _chunked(C, K, L)
     return dt, W, E, Bc, Cc, Cc @ Bc.swapaxes(-1, -2)

@@ -8,6 +8,7 @@ round-trip parameters, optimizer moments and the generator state bitwise.
 loop (`_fit`) runs every stage with its optimizer, shuffling, early stopping,
 metrics log and checkpoints. `_check_pinned` refuses a checkpoint that differs
 from the run in a setting its use pins (see `finetune` and `_RESUME_FREE`).
+`_fit` pads glibc's heap top, so no train step re-faults pages the last one freed.
 """
 from __future__ import annotations
 
@@ -282,11 +283,26 @@ class Checkpoint:
                 out[name] = arr
         return out
 
+    def load_params(self, group: str, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+        """The tensors of `group`, once they have the names and shapes of `params`,
+        the model parameters they are for."""
+        arrays = self.load_arrays(group)
+        for name in sorted(params.keys() | arrays.keys()):
+            want = params[name].data.shape if name in params else "no such parameter"
+            got = arrays[name].shape if name in arrays else "no such tensor"
+            if want != got:
+                raise ParseError(f"tensor {group}/{name}: checkpoint has {got}, model has "
+                                 f"{want}", path=self.dir / "manifest.json")
+        return arrays
+
     def load_model(self) -> ssm.ModelState:
-        arrays = self.load_arrays("params")
-        params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        norms = set(self.manifest["norm_param_names"])
-        return ssm.ModelState(self.model_config(), params, self.manifest["class_counts"], norms)
+        """The model of the manifest's config and class counts, with these parameters."""
+        state = ssm.init_model(self.model_config())
+        if self.manifest["class_counts"] is not None:
+            ssm.add_classification_heads(state, self.manifest["class_counts"])
+        for name, arr in self.load_params("params", state.params).items():
+            state.params[name].data = arr
+        return state
 
     def load_vocab(self) -> Vocab:
         return load_vocab(self.dir / self.manifest["vocab_file"])
@@ -466,10 +482,10 @@ def _resume(out_dir: Path, pinned: dict, state: ssm.ModelState, opt: AdamW,
         return None
     ckpt = Checkpoint(last)
     _check_pinned(ckpt, "resume from", pinned)
-    for name, arr in ckpt.load_arrays("params").items():
+    for name, arr in ckpt.load_params("params", state.params).items():
         state.params[name].data = arr
-    opt.m = ckpt.load_arrays("opt_m")
-    opt.v = ckpt.load_arrays("opt_v")
+    opt.m = ckpt.load_params("opt_m", state.params)
+    opt.v = ckpt.load_params("opt_v", state.params)
     opt.t = ckpt.manifest["adam_step"]
     rng.bit_generator.state = ckpt.manifest["rng_state"]
     loop.epoch = ckpt.manifest["epoch"]
@@ -477,7 +493,25 @@ def _resume(out_dir: Path, pinned: dict, state: ssm.ModelState, opt: AdamW,
     loop.best_epoch = ckpt.manifest["best_epoch"]
     loop.best_val = ckpt.manifest["best_val_loss"]
     loop.bad_epochs = ckpt.manifest["bad_epochs"]
-    return ckpt.load_arrays("best")
+    return ckpt.load_params("best", state.params)
+
+
+_M_TOP_PAD = -2  # glibc's mallopt parameter number, from <malloc.h>
+HEAP_TOP_PAD = 64 << 20  # bytes
+
+
+def _keep_heap_top():
+    """Have glibc keep HEAP_TOP_PAD bytes above the heap top when it grows or
+    trims the heap. A train step frees its whole graph; without the pad glibc
+    hands the freed top back to the kernel and the next step faults the same
+    pages in again. Where the C library has no mallopt, this does nothing."""
+    import ctypes  # only training needs it
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TOP_PAD, HEAP_TOP_PAD)
 
 
 def _fit(state: ssm.ModelState, cfg: TrainConfig, out_dir, vocab: Vocab,
@@ -490,6 +524,7 @@ def _fit(state: ssm.ModelState, cfg: TrainConfig, out_dir, vocab: Vocab,
     `batch_loss(split, indices)` returns the scalar loss tensor of the records
     `indices` of `split` ("train" or "val") and its weight in the epoch mean.
     """
+    _keep_heap_top()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     opt = AdamW(state.params, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps,
@@ -632,7 +667,7 @@ def finetune(
     model_cfg = replace(model_cfg, head_mode=cfg.head_mode)
     state = ssm.init_model(model_cfg, seed=cfg.seed)
     if ckpt is not None:
-        for name, arr in ckpt.load_arrays("params").items():
+        for name, arr in ckpt.load_params("params", state.params).items():
             state.params[name].data = arr.copy()
 
     if cfg.head_mode == "single" and not any(

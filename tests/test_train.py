@@ -1,6 +1,11 @@
+import ctypes
 import json
 import os
+import platform
+import resource
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -733,3 +738,78 @@ def test_loading_one_group_checks_the_tensors_of_every_group(tmp_path):
     (last / "tensors.bin").write_bytes(bytes(blob))
     with pytest.raises(ParseError, match="tensor opt_v/embedding fails its crc32 check"):
         train.Checkpoint(last).load_arrays("params")
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda p: p.update({"blocks.0.w_val": p["blocks.0.w_val"].T.copy()}),
+     "tensor params/blocks.0.w_val: checkpoint has (32, 16), model has (16, 32)"),
+    (lambda p: p.pop("blocks.0.w_val"),
+     "tensor params/blocks.0.w_val: checkpoint has no such tensor, model has (16, 32)"),
+    (lambda p: p.update({"blocks.0.extra": np.zeros(3, dtype=np.float32)}),
+     "tensor params/blocks.0.extra: checkpoint has (3,), model has no such parameter"),
+], ids=["swapped_shape", "missing", "extra"])
+def test_checkpoint_params_other_than_the_model_raise_parse_error(tmp_path, edit, named):
+    # each edit keeps the blob and its index consistent, so only the model check sees it
+    train_recs, val_recs, _ = _synth_split()
+    vocab = char_vocab()
+    cfg = TrainConfig(stage="pretrain", max_epochs=1, batch_size=16, seed=0, patience=10)
+    pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, tmp_path)
+    for dest in ("last", "final"):
+        ckpt = train.Checkpoint(tmp_path / dest)
+        groups = {g: ckpt.load_arrays(g) for g in ckpt.manifest["tensors"]}
+        edit(groups["params"])
+        train._write_checkpoint(tmp_path / dest, ckpt.manifest, groups, vocab, None)
+    ft_cfg = TrainConfig(stage="finetune", max_epochs=1, batch_size=16, seed=0)
+    loads = [  # (the checkpoint each load site reads, the load)
+        ("final", lambda: train.Checkpoint(tmp_path / "final").load_model()),
+        ("final", lambda: finetune(train_recs, val_recs, build_taxonomy(train_recs), vocab,
+                                   ft_cfg, tmp_path / "ft", init_from=tmp_path / "final")),
+        ("last", lambda: pretrain(train_recs, val_recs, vocab, _tiny_model(vocab),
+                                  replace(cfg, max_epochs=2), tmp_path, resume=True)),
+    ]
+    for dest, load in loads:
+        with pytest.raises(ParseError) as err:
+            load()
+        assert str(err.value) == f"{tmp_path / dest / 'manifest.json'}: {named}"
+
+
+# ---------------------------------------------------------------------------
+# the heap-top pad
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the pad is a glibc setting")
+def test_train_steps_do_not_fault_the_heap_top_back_in(tmp_path):
+    # a second run of the same shapes needs almost no new pages. Minor faults over
+    # the whole run (validation and checkpoints included) per train step, alone
+    # in a fresh process: without the pad about 6,500 for the second run; with
+    # it 0
+    records = synth_generate(SynthConfig(
+        rank_fanouts=(1, 1, 1, 1, 2, 2, 2), base_length=100, length_jitter=2,
+        samples_per_species=12, seed=0))
+    train_recs, val_recs, _ = split_dataset(records, (0.8, 0.1, 0.1), seed=0)
+    vocab = char_vocab()
+    mcfg = _tiny_model(vocab, d_model=64, head_dim=16, d_state=16, max_len=110)
+    cfg = TrainConfig(stage="pretrain", max_epochs=1, batch_size=16, seed=0)
+    steps = -(-len(train_recs) // cfg.batch_size)
+    for run in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        pretrain(train_recs, val_recs, vocab, mcfg, cfg, tmp_path / str(run))
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / steps < 650  # a tenth of the unpadded count
+
+
+def test_heap_top_pad_is_a_silent_no_op_without_mallopt(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    train._keep_heap_top()
+    train._keep_heap_top()
+    assert calls == 2 * [(-2, 64 << 20)]  # M_TOP_PAD, 64 MiB, the same each time
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert train._keep_heap_top() is None
+    monkeypatch.undo()
+    train._keep_heap_top()  # the real one, once more
