@@ -206,7 +206,8 @@ class BestHitIndex:
     Each k-mer is packed into a uint64 code of `bits` bits per letter, letters
     ranked in the sorted reference alphabet (`alphabet`, code points). `codes`
     is sorted; `ref_ids` and `counts` run parallel to it, one posting per
-    (k-mer, reference) pair with the k-mer's multiplicity in that reference.
+    (k-mer, reference) pair with the k-mer's multiplicity in that reference,
+    the pairs ordered by k-mer code and then by reference.
     """
     k: int
     bits: int
@@ -223,18 +224,49 @@ def _code_points(sequence: str) -> np.ndarray:
 
 
 def _pack_windows(ranks: np.ndarray, k: int, bits: int) -> np.ndarray:
-    """Packed uint64 code of every length-k window of `ranks`, in window order."""
-    n = max(ranks.size - k + 1, 0)
-    codes = np.zeros(n, dtype=np.uint64)
-    shift = np.uint64(bits)
-    for j in range(k):
-        codes <<= shift
-        codes |= ranks[j:j + n]
-    return codes
+    """Packed uint64 code of every length-k window of `ranks`, in window order.
+
+    A window of length d + w is a window of length w followed by one of length
+    d: its code is the first's shifted up by d letters, or'ed with the second's.
+    `span` doubles w = 1, 2, 4, ..., and `codes` takes in each w that is a binary
+    digit of k, so about 2 * log2(k) passes build all the codes. numpy shifts a
+    uint64 by 64 or more bits to 0, so the codes equal a letter-by-letter
+    shift-and-or modulo 2**64 even when k * bits > 64.
+    """
+    n = ranks.size - k + 1
+    if n < 1:
+        return np.zeros(0, dtype=np.uint64)
+    span = ranks.astype(np.uint64)  # the codes of the windows of length w
+    codes = None                    # ... and of length done
+    done = 0
+    w = 1
+    while True:
+        if k & w:
+            if codes is None:
+                codes = span
+            else:
+                head = span[:codes.size - w] << np.uint64(done * bits)
+                head |= codes[w:]
+                codes = head
+            done += w
+        if 2 * w > k:
+            return codes
+        doubled = span[:span.size - w] << np.uint64(w * bits)
+        doubled |= span[w:]
+        span = doubled
+        w *= 2
 
 
 def besthit_train(records: list[BarcodeRecord], k: int = 8) -> BestHitIndex:
-    """Index the multiset of k-mers of every training sequence as posting lists."""
+    """Index the multiset of k-mers of every training sequence as posting lists.
+
+    Each window's k-mer code and its reference id are packed into one uint64
+    key, code << ceil(log2 n_refs) | reference, and the keys are sorted once:
+    each run of equal keys is one posting, its key giving the k-mer and the
+    reference and its length the count. Only when the code and the id together
+    need more than 64 bits, near the k limit, is each code first replaced by its
+    rank among the distinct k-mers, which orders them the same way.
+    """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if not records:
@@ -249,26 +281,35 @@ def besthit_train(records: list[BarcodeRecord], k: int = 8) -> BestHitIndex:
             f"k = {k} with an alphabet of {alphabet.size} letters needs {k * bits} bits "
             f"per k-mer; at most 64 fit, so k must be <= {64 // bits}"
         )
-    rank_of = (np.cumsum(present) - 1).astype(np.uint64)
+    rank_of = (np.cumsum(present) - 1).astype(np.uint32)
     codes = _pack_windows(rank_of[points], k, bits)
     n_refs = len(records)
     lengths = np.array([len(r.sequence) for r in records], dtype=np.int64)
-    owner = np.repeat(np.arange(n_refs, dtype=np.int32), lengths)
+    owner = np.repeat(np.arange(n_refs, dtype=np.uint32), lengths)
     # a window is a k-mer of one reference iff its first and last letters share an owner
     inside = owner[:codes.size] == owner[k - 1:]
-    codes, owner = codes[inside], owner[:codes.size][inside]
-    # keyed by (rank among distinct k-mers) * n_refs + reference, one sort orders
-    # the postings by k-mer, then reference, and counts each pair's multiplicity
-    distinct, pairs = np.unique(codes, return_inverse=True)
-    pairs *= n_refs
-    pairs += owner
-    pairs, counts = np.unique(pairs, return_counts=True)
+    keys, owner = codes[inside], owner[:codes.size][inside]
+    ref_bits = (n_refs - 1).bit_length()  # ceil(log2 n_refs)
+    distinct = None
+    if k * bits + ref_bits > 64:
+        distinct, keys = np.unique(keys, return_inverse=True)
+        keys = keys.astype(np.uint64)
+    keys <<= np.uint64(ref_bits)
+    keys |= owner
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)  # the first key of each run
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=keys.size)
+    keys = keys[starts]
+    codes = keys >> np.uint64(ref_bits)
     return BestHitIndex(
         k=k,
         bits=bits,
         alphabet=alphabet,
-        codes=distinct[pairs // n_refs],
-        ref_ids=(pairs % n_refs).astype(np.int32),
+        codes=codes if distinct is None else distinct[codes],
+        ref_ids=(keys & np.uint64((1 << ref_bits) - 1)).astype(np.int32),
         counts=counts.astype(np.int32),
         labels=[r.label for r in records],
     )
@@ -287,7 +328,7 @@ def besthit_similarity(index: BestHitIndex, sequence: str) -> tuple[int, float]:
         )
     q_size = len(sequence) - k + 1
     points = _code_points(sequence)
-    ranks = np.searchsorted(index.alphabet, points).astype(np.uint64)
+    ranks = np.searchsorted(index.alphabet, points)
     unknown_before = np.concatenate(([0], np.cumsum(~np.isin(points, index.alphabet))))
     matchable = unknown_before[k:] == unknown_before[:q_size]
     codes = _pack_windows(ranks, k, index.bits)[matchable]

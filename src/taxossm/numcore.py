@@ -171,14 +171,15 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product; a constant operand (a mask, a weight) gets no gradient."""
     _check_dtypes(a, b)
     _check_broadcast(a, b)
     return _node(
         a.data * b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a._needs_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b._needs_grad else None,
         ),
     )
 
@@ -299,10 +300,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul shapes {a.data.shape} and {b.data.shape}") from None
 
-    def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
+    def bw(g):  # a constant operand gets no gradient
+        ga = gb = None
+        if a._needs_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+        if b._needs_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        return (ga, gb)
 
     return _node(out_data, (a, b), bw)
 

@@ -246,6 +246,12 @@ class Checkpoint:
                 errors += _key_set_errors(key, section, {f.name for f in fields(cls)})
             elif key in self.manifest:
                 errors.append(f"{key} is not a JSON object")
+        counts = self.manifest.get("class_counts")
+        if counts is not None and not (
+                isinstance(counts, list) and len(counts) == N_RANKS
+                and all(type(c) is int and c > 0 for c in counts)):
+            errors.append(f"class_counts is not null or a list of {N_RANKS} positive "
+                          f"ints: {counts!r}")
         if errors:
             raise ParseError("checkpoint " + "; ".join(errors), path=path)
 
@@ -345,7 +351,7 @@ def _write_checkpoint(dest: Path, manifest: dict, groups: dict[str, dict[str, np
     else:
         manifest["taxonomy_file"] = None
     with open(tmp / "manifest.json", "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+        fh.write(json.dumps(manifest, indent=1, sort_keys=True))  # one write, not thousands
     for path in [*tmp.iterdir(), tmp]:
         _fsync(path)
     old = dest.parent / (dest.name + ".old")

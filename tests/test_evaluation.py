@@ -7,6 +7,8 @@ from taxossm.errors import ConfigError, ContractError, DegenerateVarianceError
 from taxossm.evaluation import (
     RankMetrics,
     TimingResult,
+    _code_points,
+    _pack_windows,
     besthit_similarity,
     besthit_train,
     betainc_regularized,
@@ -398,6 +400,85 @@ def test_besthit_index_matches_brute_force_oracle(case):
     records = [BarcodeRecord(f"r{i}", s) for i, s in enumerate(seqs)]
     index = besthit_train(records, k=k)
     assert besthit_similarity(index, query) == brute_force_best_hit(records, query, k)
+
+
+def per_letter_windows(ranks, k, bits):
+    n = max(ranks.size - k + 1, 0)
+    codes = np.zeros(n, dtype=np.uint64)
+    for j in range(k):
+        codes <<= np.uint64(bits)
+        codes |= ranks[j:j + n]
+    return codes
+
+
+def unique_twice_postings(records, k):
+    """(codes, ref_ids, counts) of an index built by ranking the distinct k-mers
+    with one np.unique and counting the (rank, reference) pairs with another."""
+    alphabet = np.unique(_code_points("".join(r.sequence for r in records)))
+    bits = (alphabet.size - 1).bit_length()
+    codes, owners = [], []
+    for i, rec in enumerate(records):
+        ranks = np.searchsorted(alphabet, _code_points(rec.sequence)).astype(np.uint64)
+        window_codes = per_letter_windows(ranks, k, bits)
+        codes.append(window_codes)
+        owners.append(np.full(window_codes.size, i, dtype=np.int64))
+    n_refs = len(records)
+    distinct, pairs = np.unique(np.concatenate(codes), return_inverse=True)
+    pairs = pairs * n_refs + np.concatenate(owners)
+    pairs, counts = np.unique(pairs, return_counts=True)
+    return distinct[pairs // n_refs], pairs % n_refs, counts
+
+
+def assert_postings_match_the_unique_twice_build(records, k):
+    index = besthit_train(records, k=k)
+    codes, ref_ids, counts = unique_twice_postings(records, k)
+    assert index.codes.dtype == np.uint64
+    assert index.ref_ids.dtype == index.counts.dtype == np.int32
+    assert np.array_equal(index.codes, codes)
+    assert np.array_equal(index.ref_ids, ref_ids)
+    assert np.array_equal(index.counts, counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(besthit_cases())
+def test_besthit_postings_match_the_unique_twice_build(case):
+    seqs, k, _ = case
+    assert_postings_match_the_unique_twice_build(
+        [BarcodeRecord(f"r{i}", s) for i, s in enumerate(seqs)], k)
+
+
+@pytest.mark.parametrize("letters, k, n_refs", [
+    ("ACGT", 32, 2), ("ACGT", 32, 5), ("ACGT", 31, 9), ("ACGTRYSWKMBDHVN", 16, 3),
+    ("ACGTRYSWKMBDHVN", 15, 17),
+], ids=["acgt_k32_2refs", "acgt_k32_5refs", "acgt_k31_9refs", "iupac_k16_3refs",
+        "iupac_k15_17refs"])
+def test_besthit_postings_when_the_kmers_are_ranked_first(rng, letters, k, n_refs):
+    # k * bits + ceil(log2 n_refs) > 64 in every case, so the codes do not fit
+    # beside the reference id and are ranked among the distinct k-mers first
+    bits = (len(letters) - 1).bit_length()
+    assert k * bits + (n_refs - 1).bit_length() > 64
+    alphabet = np.array(list(letters))
+    source = "".join(alphabet[rng.integers(0, len(letters), size=3 * k)])
+    seqs = [source[:len(letters)] + letters]  # every letter present
+    for _ in range(n_refs - 1):  # overlapping slices share k-mers across references
+        start = int(rng.integers(0, k))
+        seqs.append(source[start:start + int(rng.integers(k, 2 * k + 1))])
+    seqs[-1] = seqs[-1] + seqs[-1][:k]  # a repeated k-mer counts twice
+    records = [BarcodeRecord(f"r{i}", s) for i, s in enumerate(seqs)]
+    assert_postings_match_the_unique_twice_build(records, k)
+    index = besthit_train(records, k=k)
+    assert index.counts.max() >= 2
+    assert besthit_similarity(index, seqs[1]) == brute_force_best_hit(records, seqs[1], k)
+
+
+@pytest.mark.parametrize("bits", [0, 1, 2, 3, 4])
+def test_pack_windows_matches_the_per_letter_loop(rng, bits):
+    for k in range(1, 34):
+        for length in sorted({0, 1, k - 1, k, k + 1, 2 * k + 3, 70}):
+            ranks = rng.integers(0, 1 << bits, size=length).astype(np.uint64)
+            got = _pack_windows(ranks, k, bits)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, per_letter_windows(ranks, k, bits)), (k, length)
 
 
 def test_besthit_k_above_packing_limit_errors():

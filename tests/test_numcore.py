@@ -221,6 +221,22 @@ def test_backward_bitwise_deterministic(rng):
     assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
 
 
+@pytest.mark.parametrize("op, shapes", [
+    (nc.mul, ((3, 4), (3, 1))), (nc.mul, ((2, 3, 4), (4,))),
+    (nc.matmul, ((2, 3, 4), (4, 5))), (nc.matmul, ((3, 4), (4, 5))),
+], ids=["mul", "mul_broadcast", "matmul_batched", "matmul"])
+def test_a_constant_operand_gets_no_gradient(rng, op, shapes):
+    a_data, b_data = (rng.normal(size=shape) for shape in shapes)
+    for a_needs, b_needs in ((True, False), (False, True), (True, True)):
+        a, b = t64(a_data, grad=a_needs), t64(b_data, grad=b_needs)
+        out = op(a, b)
+        ga, gb = out._backward(rng.normal(size=out.data.shape))
+        assert (ga is None) == (not a_needs) and (gb is None) == (not b_needs)
+        for g, t in ((ga, a), (gb, b)):
+            if g is not None:
+                assert g.shape == t.data.shape
+
+
 def test_no_grad_suppresses_graph():
     x = t64([1.0, 2.0])
     with nc.no_grad():

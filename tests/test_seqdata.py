@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -46,6 +47,22 @@ def test_parse_rejects_non_iupac(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_fasta(fasta(tmp_path, ">X3|k__Fungi\nACGQ\n"))
     assert "Q" in str(err.value) and ":1" in str(err.value)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.text(sorted(IUPAC_ALPHABET) + list("acgtnQXZu*-0é€Üßı"), min_size=1, max_size=60))
+def test_parse_names_the_sorted_non_iupac_letters(tmp_path, sequence):
+    # non-ASCII letters included; upper() runs first, so "ß" becomes "SS"
+    path = tmp_path / "in.fasta"
+    path.write_text(f">X|k__Fungi\n{sequence}\n", encoding="utf-8")
+    bad = sorted(set(sequence.upper()) - IUPAC_ALPHABET)
+    if not bad:
+        assert parse_fasta(path)[0].sequence == sequence.upper()
+        return
+    with pytest.raises(ParseError) as err:
+        parse_fasta(path)
+    assert str(err.value) == f"{path}:1: record 'X' contains non-IUPAC character(s) {bad}"
 
 
 def test_parse_rejects_bad_rank_prefix(tmp_path):
@@ -215,6 +232,23 @@ def test_filter_ambiguous_fraction_threshold():
     survivors, stats = filter_dataset(good + [bad], FilterConfig(min_class_size=1))
     assert stats.ambiguous_dropped == 1
     assert all(r.id != "bad" for r in survivors)
+
+
+def test_filter_ambiguous_count_matches_a_per_letter_count(rng):
+    letters = np.array(sorted(IUPAC_ALPHABET))
+    acgt = np.array(list("ACGT"))
+    cfg = FilterConfig(length_sigma=1e6, max_ambiguous_fraction=0.05, min_class_size=1)
+    for _ in range(20):
+        records = []
+        for i in range(30):
+            seq = acgt[rng.integers(0, 4, size=int(rng.integers(1, 120)))]
+            hits = rng.random(seq.size) < rng.choice([0.0, 0.02, 0.05, 0.1])
+            seq[hits] = letters[rng.integers(0, letters.size, size=int(hits.sum()))]
+            records.append(BarcodeRecord(f"r{i}", "".join(seq), make_label(f"K{i}")))
+        expected = sum(
+            sum(1 for ch in r.sequence if ch not in "ACGT") / len(r.sequence) > 0.05
+            for r in records)
+        assert filter_dataset(records, cfg)[1].ambiguous_dropped == expected
 
 
 def test_filter_dedup_and_small_class_cascade():

@@ -1,4 +1,5 @@
 import ctypes
+import io
 import json
 import os
 import platform
@@ -616,7 +617,17 @@ def test_checkpoint_round_trip_and_metrics_log(tmp_path):
      "model_config lacks ['d_model']; model_config has unknown keys ['dmodel']"),
     (lambda m: m["train_config"].update(warmup=2), "train_config has unknown keys ['warmup']"),
     (lambda m: m.update(model_config=[16]), "model_config is not a JSON object"),
-], ids=["manifest", "model_config", "train_config", "model_config_not_object"])
+    (lambda m: m.update(class_counts=[1, 2, 3, 4, 5, 6]),
+     "class_counts is not null or a list of 7 positive ints: [1, 2, 3, 4, 5, 6]"),
+    (lambda m: m.update(class_counts=[1, 1, 2, 0, 3, 4, 5]),
+     "class_counts is not null or a list of 7 positive ints: [1, 1, 2, 0, 3, 4, 5]"),
+    (lambda m: m.update(class_counts=[1, 1, 2, 2.0, 3, 4, True]),
+     "class_counts is not null or a list of 7 positive ints: [1, 1, 2, 2.0, 3, 4, True]"),
+    (lambda m: m.update(class_counts={"species": 3}),
+     "class_counts is not null or a list of 7 positive ints: {'species': 3}"),
+], ids=["manifest", "model_config", "train_config", "model_config_not_object",
+        "class_counts_six", "class_counts_zero", "class_counts_not_ints",
+        "class_counts_not_list"])
 def test_checkpoint_manifest_with_other_keys_names_them(tmp_path, edit, named):
     train_recs, val_recs, _ = _synth_split()
     vocab = char_vocab()
@@ -628,6 +639,19 @@ def test_checkpoint_manifest_with_other_keys_names_them(tmp_path, edit, named):
     with pytest.raises(ParseError) as err:
         train.Checkpoint(final)
     assert str(err.value) == f"{final / 'manifest.json'}: checkpoint {named}"
+
+
+def test_checkpoint_manifest_text_is_what_json_dump_writes(tmp_path):
+    train_recs, val_recs, _ = _synth_split()
+    vocab = char_vocab()
+    cfg = TrainConfig(stage="scratch", max_epochs=1, batch_size=16, seed=0)
+    finetune(train_recs, val_recs, build_taxonomy(train_recs), vocab, cfg, tmp_path,
+             model_cfg=_tiny_model(vocab))
+    for dest in ("last", "final"):
+        text = (tmp_path / dest / "manifest.json").read_text(encoding="ascii")
+        streamed = io.StringIO()
+        json.dump(json.loads(text), streamed, indent=1, sort_keys=True)
+        assert text == streamed.getvalue()
 
 
 def _flip_first_byte_of(name):
