@@ -352,6 +352,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         _snapshot(config, out)
         extra = {"resume": args.resume} if "resume" in args else {}
+        train._keep_heap_top()
         COMMANDS[args.command](config, out, **extra)
         return 0
     except Exception as exc:  # single-line machine-parseable failure report

@@ -264,51 +264,56 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+
+    gain and bias are (d,). Each row reduction is one einsum over the flattened
+    rows: unlike a GEMV, it sums every row the same way wherever the row sits in
+    the batch.
+    """
     if eps <= 0:
         raise NumericDomainError(f"layer_norm eps must be > 0, got {eps}")
     _check_dtypes(x, gain, bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out_data = xhat * gain.data + bias.data
+    d = x.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeError(f"layer_norm gain/bias {gain.data.shape}/{bias.data.shape} != {(d,)}")
+    x2 = x.data.reshape(-1, d)
+    xhat = x2 - (np.einsum("ij->i", x2) / d)[:, None]
+    inv = (1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / d + eps))[:, None]
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def bw(g):
-        dgain = _unbroadcast(g * xhat, gain.data.shape)
-        dbias = _unbroadcast(g, bias.data.shape)
-        dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return (dx, dgain, dbias)
+        g2 = g.reshape(-1, d)
+        dx = g2 * gain.data
+        m2 = (np.einsum("ij,ij->i", dx, xhat) / d)[:, None]
+        dx -= (np.einsum("ij->i", dx) / d)[:, None]
+        dx -= xhat * m2
+        dx *= inv
+        return (dx.reshape(x.data.shape), np.einsum("ij,ij->j", g2, xhat), g2.sum(0))
 
-    return _node(out_data, (x, gain, bias), bw)
+    return _node(out_data.reshape(x.data.shape), (x, gain, bias), bw)
 
 
 # ---------------------------------------------------------------------------
 # linear algebra and structure ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes(a, b)
-    try:
-        out_data = np.matmul(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"matmul shapes {a.data.shape} and {b.data.shape}") from None
+def matmul(a: Tensor, w: Tensor) -> Tensor:
+    """(..., d) @ (d, k): the right operand is a 2-D weight. Each gradient is one
+    GEMM over all the leading rows of `a`."""
+    _check_dtypes(a, w)
+    if w.data.ndim != 2 or a.data.ndim < 1 or a.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"matmul shapes {a.data.shape} and {w.data.shape}: "
+                         "need (..., d) and a (d, k) weight")
+    d, k = w.data.shape
 
     def bw(g):  # a constant operand gets no gradient
-        ga = gb = None
-        if a._needs_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-        if b._needs_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
-        return (ga, gb)
+        g2 = g.reshape(-1, k)
+        return ((g2 @ w.data.T).reshape(a.data.shape) if a._needs_grad else None,
+                a.data.reshape(-1, d).T @ g2 if w._needs_grad else None)
 
-    return _node(out_data, (a, b), bw)
+    return _node(np.matmul(a.data, w.data), (a, w), bw)
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -318,9 +323,11 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
             f"token id out of range [0,{table.data.shape[0]}): min {ids.min()}, max {ids.max()}"
         )
 
-    def bw(g):
+    def bw(g):  # the rows of each id summed in one reduceat over the stably sorted ids
+        order = np.argsort(ids, axis=None, kind="stable")
+        rows, starts = np.unique(ids.reshape(-1)[order], return_index=True)
         dtab = np.zeros_like(table.data)
-        np.add.at(dtab, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        dtab[rows] = np.add.reduceat(g.reshape(-1, table.data.shape[1])[order], starts, axis=0)
         return (dtab,)
 
     return _node(table.data[ids], (table,), bw)
@@ -335,24 +342,25 @@ def causal_depthwise_conv(x: Tensor, kernel: Tensor) -> Tensor:
     _check_dtypes(x, kernel)
     if x.data.shape[-1] != kernel.data.shape[0]:
         raise ShapeError(f"conv channels {x.data.shape} vs kernel {kernel.data.shape}")
-    T = x.data.shape[-2]
     C, K = kernel.data.shape
-    pad_shape = x.data.shape[:-2] + (K - 1, C)
-    xpad = np.concatenate([np.zeros(pad_shape, dtype=x.data.dtype), x.data], axis=-2)
-    out_data = np.zeros_like(x.data)
-    for j in range(K):
-        out_data += kernel.data[:, j] * xpad[..., j:j + T, :]
+    xs = x.data.reshape(-1, x.data.shape[-2], C)
+    T = xs.shape[1]
+    # tap K-1-s reads the input s positions back; a tap reaching before t = 0 adds nothing
+    out_data = xs * kernel.data[:, K - 1]
+    for s in range(1, min(K, T)):
+        out_data[:, s:] += kernel.data[:, K - 1 - s] * xs[:, :T - s]
 
     def bw(g):
-        dpad = np.zeros_like(xpad)
+        gs = g.reshape(xs.shape)
+        dx = gs * kernel.data[:, K - 1]
         dk = np.zeros_like(kernel.data)
-        lead = tuple(range(g.ndim - 2))
-        for j in range(K):
-            dpad[..., j:j + T, :] += kernel.data[:, j] * g
-            dk[:, j] = (g * xpad[..., j:j + T, :]).sum(axis=lead + (-2,))
-        return (dpad[..., K - 1:, :], dk)
+        dk[:, K - 1] = np.einsum("btc,btc->c", gs, xs)
+        for s in range(1, min(K, T)):
+            dx[:, :T - s] += kernel.data[:, K - 1 - s] * gs[:, s:]
+            dk[:, K - 1 - s] = np.einsum("btc,btc->c", gs[:, s:], xs[:, :T - s])
+        return (dx.reshape(x.data.shape), dk)
 
-    return _node(out_data, (x, kernel), bw)
+    return _node(out_data.reshape(x.data.shape), (x, kernel), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

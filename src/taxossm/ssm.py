@@ -208,15 +208,15 @@ def _ssd_backward(g, x, delta, a, B, C, D, S, chunk):
     dC = gE @ S_f
     gS = (gE.swapaxes(-1, -2) @ Cc).reshape(Bsz, K, H, P, N)
     CS = (Cc @ S_f.swapaxes(-1, -2)).reshape(Bsz, K, L, H, P)
-    dcum = ((gc * CS).sum(-1) * E_l[..., 0]).transpose(0, 1, 3, 2)
-    # the carry S[k+1] = decay[k] S[k] + Z[k], backwards
+    dcum = np.einsum("bklhp,bklhp->bkhl", gc, CS) * E
+    # the carry S[k+1] = decay[k] S[k] + Z[k], backwards; gZ[:, k] is the
+    # gradient of the state leaving chunk k
     decay = E[..., -1]
     gZ = np.empty_like(S)
-    G = np.zeros_like(S[:, 0])  # gradient of the state leaving chunk k
-    for k in range(K - 1, -1, -1):
-        gZ[:, k] = G
-        dcum[:, k, :, -1] += np.einsum("bhpn,bhpn->bh", G, S[:, k]) * decay[:, k]
-        G = gS[:, k] + decay[:, k, :, None, None] * G
+    gZ[:, -1] = 0.0
+    for k in range(K - 1, 0, -1):
+        gZ[:, k - 1] = gS[:, k] + decay[:, k, :, None, None] * gZ[:, k]
+    dcum[..., -1] += np.einsum("bkhpn,bkhpn->bkh", gZ, S) * decay
     # the chunk-end inputs Z = (w_end x)ᵀ·B
     w_end = W[..., -1, :] * dt
     w_end_l = w_end.transpose(0, 1, 3, 2)[..., None]
@@ -224,22 +224,23 @@ def _ssd_backward(g, x, delta, a, B, C, D, S, chunk):
     R = (Bc @ gZ_f.swapaxes(-1, -2)).reshape(Bsz, K, L, H, P)
     dx = w_end_l * R
     dB = (xc * w_end_l).reshape(Bsz, K, L, H * P) @ gZ_f
-    dw_end = (xc * R).sum(-1).transpose(0, 1, 3, 2)
+    dw_end = np.einsum("bklhp,bklhp->bkhl", xc, R)
     # inside a chunk, y = M·x with M = C·Bᵀ * W * delta_s
     xh, gh = xc.transpose(0, 1, 3, 2, 4), gc.transpose(0, 1, 3, 2, 4)
     M = CB[:, :, None] * W * dt[..., None, :]
     dx += (M.swapaxes(-1, -2) @ gh).transpose(0, 1, 3, 2, 4)
     dMW = (gh @ xh.swapaxes(-1, -2)) * W
-    dCB = (dMW * dt[..., None, :]).sum(axis=2)
+    dCB = np.einsum("bkhts,bkhs->bkts", dMW, dt)
     dMW *= CB[:, :, None]
-    ddt = dMW.sum(-2) + dw_end * W[..., -1, :]
+    ddt = np.einsum("bkhts->bkhs", dMW) + dw_end * W[..., -1, :]
     dseg = dMW * dt[..., None, :]
     dseg[..., -1, :] += dw_end * w_end
     dC += dCB @ Bc
     dB += dCB.swapaxes(-1, -2) @ Cc
     # through the masked cumsums to the log decays delta*a
     Q = _cumsum_matrix(L, x.dtype)
-    ddA = np.concatenate([dseg.reshape(Bsz, K, H, L * L), dcum], axis=-1) @ Q.T
+    ddA = (dseg.reshape(-1, L * L) @ Q[:, :L * L].T
+           + dcum.reshape(-1, L) @ Q[:, L * L:].T).reshape(dcum.shape)
     ddt += ddA * a[:, None]
     return (dx.reshape(Bsz, K * L, H, P)[:, :T] + D[:, None] * g,
             ddt.transpose(0, 1, 3, 2).reshape(Bsz, K * L, H)[:, :T],

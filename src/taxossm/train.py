@@ -508,10 +508,12 @@ HEAP_TOP_PAD = 64 << 20  # bytes
 
 def _keep_heap_top():
     """Have glibc keep HEAP_TOP_PAD bytes above the heap top when it grows or
-    trims the heap. A train step frees its whole graph; without the pad glibc
-    hands the freed top back to the kernel and the next step faults the same
-    pages in again. Where the C library has no mallopt, this does nothing."""
-    import ctypes  # only training needs it
+    trims the heap. A train step, a best-hit index build or a preprocess pass
+    frees its temporaries; without the pad glibc hands the freed top back to the
+    kernel and the next call faults the same pages in again. `cli.main` sets it
+    before every subcommand and `_fit` for library callers; setting it again
+    changes nothing. Where the C library has no mallopt, this does nothing."""
+    import ctypes
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):

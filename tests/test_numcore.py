@@ -83,6 +83,14 @@ def test_shape_error_reports_both_shapes():
         nc.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+@pytest.mark.parametrize("a_shape, w_shape", [
+    ((2, 3, 4), (2, 4, 5)), ((3, 4), (4,)), ((4,), (4, 5, 6)), ((3, 4), ())])
+def test_matmul_right_operand_must_be_a_2d_weight(a_shape, w_shape):
+    with pytest.raises(ShapeError) as err:
+        nc.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(w_shape)))
+    assert str(a_shape) in str(err.value) and str(w_shape) in str(err.value)
+
+
 def test_mixed_dtype_rejected():
     with pytest.raises(ShapeError):
         nc.add(Tensor(np.zeros(2, dtype=np.float32)), Tensor(np.zeros(2), dtype=np.float64))
@@ -150,6 +158,14 @@ def test_every_op_passes_grad_check(rng):
          [t64(a)]),
         ("mean", lambda p: nc.tsum(nc.tmean(nc.mul(p[0], p[0]), axis=1)), [t64(a)]),
         ("mean_all", lambda p: nc.tmean(nc.exp(p[0])), [t64(a)]),
+        ("layer_norm_3d", lambda p: nc.tsum(nc.mul(nc.layer_norm(p[0], p[1], p[2]),
+                                                   Tensor(probe))),
+         [t64(rng.normal(size=(2, 5, 4)) * 2.0 + 0.5), t64(gain), t64(bias)]),
+        ("matmul_4d", lambda p: nc.tsum(nc.mul(nc.matmul(p[0], p[1]), nc.matmul(p[0], p[1]))),
+         [t64(rng.normal(size=(2, 2, 3, 4))), t64(w)]),
+        ("conv_T_below_K", lambda p: nc.tsum(nc.mul(nc.causal_depthwise_conv(p[0], p[1]),
+                                                    nc.causal_depthwise_conv(p[0], p[1]))),
+         [t64(rng.normal(size=(2, 2, 4))), t64(rng.normal(size=(4, 4)))]),
     ]
     for name, f, params in cases:
         _grad_check_case(name, f, params)
@@ -204,6 +220,70 @@ def test_conv_is_causal(rng):
         zeroed[:, t + 1:, :] = 0.0
         out = nc.causal_depthwise_conv(Tensor(zeroed), kernel).data
         assert np.array_equal(out[:, :t + 1, :], full[:, :t + 1, :])
+
+
+def _padded_conv(x, kernel, g):
+    """The conv and its adjoint as a zero-padded copy of x with K-1 leading rows."""
+    T = x.shape[-2]
+    C, K = kernel.shape
+    xpad = np.concatenate([np.zeros(x.shape[:-2] + (K - 1, C)), x], axis=-2)
+    out = np.zeros_like(x)
+    dpad = np.zeros_like(xpad)
+    dk = np.zeros_like(kernel)
+    lead = tuple(range(g.ndim - 2))
+    for j in range(K):
+        out += kernel[:, j] * xpad[..., j:j + T, :]
+        dpad[..., j:j + T, :] += kernel[:, j] * g
+        dk[:, j] = (g * xpad[..., j:j + T, :]).sum(axis=lead + (-2,))
+    return out, dpad[..., K - 1:, :], dk
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 3), (2, 2, 3), (2, 3, 3), (2, 4, 3), (2, 7, 3),
+                                   (5, 3), (2, 2, 3, 3)])
+def test_conv_matches_the_padded_form(rng, shape):
+    # K = 4: T = 1, 2, 3 use only min(K, T) taps; also 2-D and 4-D inputs
+    x = rng.normal(size=shape)
+    kernel = rng.normal(size=(3, 4))
+    g = rng.normal(size=shape)
+    ref_out, ref_dx, ref_dk = _padded_conv(x, kernel, g)
+    out = nc.causal_depthwise_conv(t64(x), t64(kernel))
+    dx, dk = out._backward(g)
+    assert out.data.shape == dx.shape == shape
+    for got, want in ((out.data, ref_out), (dx, ref_dx), (dk, ref_dk)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_embedding_backward_matches_add_at(rng):
+    # repeated ids, ids in any order, and table rows that no id uses
+    table = rng.normal(size=(9, 5))
+    ids = rng.choice([0, 3, 3, 4, 8, 8, 8], size=(3, 11))
+    g = rng.normal(size=(3, 11, 5))
+    (dtab,) = nc.embedding_lookup(t64(table), ids)._backward(g)
+    want = np.zeros_like(table)
+    np.add.at(want, ids.reshape(-1), g.reshape(-1, 5))
+    np.testing.assert_allclose(dtab, want, rtol=1e-12, atol=1e-12)
+    assert not dtab[[1, 2, 5, 6, 7]].any()
+    (empty,) = nc.embedding_lookup(t64(table), np.zeros((2, 0), int))._backward(
+        np.zeros((2, 0, 5)))
+    assert empty.shape == table.shape and not empty.any()
+
+
+def test_layer_norm_rows_do_not_depend_on_their_place_in_the_batch(rng):
+    # each row gives the same bits, forward and backward, alone or in a batch
+    rows = rng.normal(size=(10, 64)).astype(np.float32)
+    g_rows = rng.normal(size=(10, 64)).astype(np.float32)
+    gain = Tensor(rng.normal(size=64).astype(np.float32), requires_grad=True)
+    bias = Tensor(rng.normal(size=64).astype(np.float32), requires_grad=True)
+
+    def run(x, g):
+        out = nc.layer_norm(Tensor(x, requires_grad=True), gain, bias)
+        return out.data, out._backward(g)[0]
+
+    alone = [run(rows[i:i + 1], g_rows[i:i + 1]) for i in range(10)]
+    for n in (3, 6, 7, 10):
+        out, dx = run(rows[:n], g_rows[:n])
+        assert np.array_equal(out, np.concatenate([o for o, _ in alone[:n]]))
+        assert np.array_equal(dx, np.concatenate([d for _, d in alone[:n]]))
 
 
 def test_backward_bitwise_deterministic(rng):

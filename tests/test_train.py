@@ -4,6 +4,8 @@ import json
 import os
 import platform
 import resource
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,7 +25,7 @@ from taxossm.errors import (
 )
 from taxossm.numcore import Tensor
 from taxossm.records import BarcodeRecord, make_label
-from taxossm.seqdata import SynthConfig, split_dataset, synth_generate
+from taxossm.seqdata import SynthConfig, split_dataset, synth_generate, write_fasta
 from taxossm.taxonomy import Taxonomy, build_taxonomy, class_weights, smooth_target
 from taxossm.tokenizers import PAD, bpe_train, char_vocab
 from taxossm.train import (
@@ -820,6 +822,41 @@ def test_train_steps_do_not_fault_the_heap_top_back_in(tmp_path):
         pretrain(train_recs, val_recs, vocab, mcfg, cfg, tmp_path / str(run))
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / steps < 650  # a tenth of the unpadded count
+
+
+_BESTHIT_FAULTS = """
+import contextlib, io, resource, sys
+from taxossm import cli
+args = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(2):
+        assert cli.main(args) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        assert cli.main(args) == 0
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the pad is a glibc setting")
+def test_besthit_calls_do_not_fault_the_heap_top_back_in(tmp_path):
+    # `besthit` never trains, so only cli.main sets the pad. Repeated calls in one
+    # fresh process over 384 references of about 650 letters: about 3,300 minor
+    # faults per call without the pad, about 1 with it
+    records = synth_generate(SynthConfig(
+        rank_fanouts=(1, 1, 2, 2, 2, 3, 4), base_length=650, length_jitter=10,
+        samples_per_species=4, seed=0))
+    write_fasta(records, tmp_path / "train.fasta")
+    write_fasta(records[:4], tmp_path / "test.fasta")
+    args = ["besthit", "--out", str(tmp_path / "bh"), "--set", "eval.besthit_k=8",
+            "--set", f"paths.train_fasta={tmp_path / 'train.fasta'}",
+            "--set", f"paths.test_fasta={tmp_path / 'test.fasta'}"]
+    src = str(Path(train.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _BESTHIT_FAULTS, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    assert float(done.stdout.split()[-1]) < 500  # about a seventh of the unpadded count
 
 
 def test_heap_top_pad_is_a_silent_no_op_without_mallopt(monkeypatch):
