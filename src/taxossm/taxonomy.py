@@ -1,4 +1,5 @@
-"""Seven-rank class registry with ancestor tables, class weights and smoothed targets."""
+"""Seven-rank class registry with ancestor tables, class weights and training targets:
+a record's target is its class index per rank, smoothed per batch by `batch_targets`."""
 from __future__ import annotations
 
 import json
@@ -102,17 +103,24 @@ def _int_array(values) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetDistribution:
-    """Per-rank target probability vectors with a labelled-rank mask.
+    """One record's training target: its class index at each labelled rank (None
+    below its depth) and its smoothing. It holds no array; `per_rank` derives them."""
 
-    true_index keeps the unsmoothed class index per labelled rank so losses can
-    look up per-class weights without un-smoothing the distribution.
-    """
+    taxonomy: Taxonomy = field(repr=False, compare=False)
+    true_index: tuple[int | None, ...]
+    mode: str
+    epsilon: float
 
-    per_rank: list[np.ndarray | None]
-    mask: tuple[bool, ...]
-    true_index: tuple[int | None, ...] = (None,) * N_RANKS
+    @property
+    def mask(self) -> tuple[bool, ...]:
+        return tuple(i is not None for i in self.true_index)
+
+    @property
+    def per_rank(self) -> list[np.ndarray | None]:
+        _, dists = batch_targets([self])
+        return [d[0] if i is not None else None for d, i in zip(dists, self.true_index)]
 
 
 @dataclass
@@ -185,29 +193,56 @@ def class_weights(taxonomy: Taxonomy) -> ClassWeights:
     return ClassWeights(per_rank)
 
 
-def _smooth_at_rank(taxonomy: Taxonomy, rank: int, y: int, mode: str, epsilon: float) -> np.ndarray:
+def _smoothed(taxonomy: Taxonomy, rank: int, y: np.ndarray, mode: str, epsilon: float) -> np.ndarray:
+    """(len(y), n_classes(rank)) smoothed distributions around the true classes y."""
     n = taxonomy.n_classes(rank)
-    q = np.zeros(n, dtype=np.float64)
+    rows = np.arange(len(y))
     if mode == "none" or epsilon == 0.0 or n == 1:
-        q[y] = 1.0
+        q = np.zeros((len(y), n))
+        q[rows, y] = 1.0
         return q
-    if mode == "standard":
-        q[:] = epsilon / (n - 1)
-        q[y] = 1.0 - epsilon
-        return q
-    # hierarchical: spread epsilon proportionally to shared-ancestor depth
-    # (kingdom = 1); two classes that differ at one rank differ at every rank
-    # below it, so the depth is the number of ancestors they share
-    anc = taxonomy.ancestors[rank]
-    s = (anc == anc[y]).sum(axis=1).astype(np.float64)
-    s[y] = 0.0
-    total = s.sum()
-    if total == 0.0:
-        q[:] = epsilon / (n - 1)
-    else:
-        q[:] = epsilon * s / total
-    q[y] = 1.0 - epsilon
+    q = np.full((len(y), n), epsilon / (n - 1))
+    if mode == "hierarchical":
+        # spread epsilon proportionally to shared-ancestor depth (kingdom = 1),
+        # the number of ancestors two classes share; a class alone in its
+        # kingdom at this rank keeps the uniform spread
+        shared = np.zeros((len(y), n), dtype=np.int8)
+        for col in taxonomy.ancestors[rank].T.copy():  # each rank's ancestors, contiguous
+            shared += col == col[y][:, None]
+        s = shared.astype(np.float64)
+        s[rows, y] = 0.0
+        total = s.sum(axis=1, keepdims=True)
+        np.divide(epsilon * s, total, out=q, where=total != 0.0)
+    q[rows, y] = 1.0 - epsilon
     return q
+
+
+def batch_targets(targets: list[TargetDistribution]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A batch's class indices (B, N_RANKS), -1 where unlabelled, and per rank its
+    (B, n_classes) target distributions, zero where unlabelled. From species up,
+    rows start from their smoothed vector at their deepest rank, and one bincount
+    over row * n_classes + parent keys lifts every row a rank up, adding in the
+    order a one-record lift does. A batch mixing taxonomies or smoothing raises.
+    """
+    taxonomy, mode, epsilon = targets[0].taxonomy, targets[0].mode, targets[0].epsilon
+    if any(t.taxonomy is not taxonomy or t.mode != mode or t.epsilon != epsilon
+           for t in targets):
+        raise ConfigError("a batch's targets must share one taxonomy, smoothing mode and epsilon")
+    b = len(targets)
+    index = np.array([[-1 if i is None else i for i in t.true_index] for t in targets])
+    deepest = (index >= 0).sum(axis=1) - 1
+    dists: list[np.ndarray] = [None] * N_RANKS
+    for r in range(N_RANKS - 1, -1, -1):
+        n = taxonomy.n_classes(r)
+        if r == N_RANKS - 1 or dists[r + 1].size == 0:  # bincount of nothing is int
+            q = np.zeros((b, n))
+        else:
+            keys = (np.arange(b) * n)[:, None] + taxonomy.parent[r + 1]
+            q = np.bincount(keys.ravel(), weights=dists[r + 1].ravel(),
+                            minlength=b * n).reshape(b, n)
+        q[deepest == r] = _smoothed(taxonomy, r, index[deepest == r, r], mode, epsilon)
+        dists[r] = q
+    return index, dists
 
 
 def smooth_target(
@@ -216,7 +251,7 @@ def smooth_target(
     mode: str = "hierarchical",
     epsilon: float = 0.1,
 ) -> TargetDistribution:
-    """Smoothed per-rank targets for one label.
+    """The training target of one label.
 
     The deepest labelled rank receives the smoothed distribution; shallower
     ranks get it lifted through the parent chain, and deeper ranks are masked
@@ -227,21 +262,14 @@ def smooth_target(
     if not 0.0 <= epsilon < 1.0:
         raise ConfigError(f"epsilon must be in [0,1), got {epsilon}")
     depth = label.depth
-    per_rank: list[np.ndarray | None] = [None] * N_RANKS
-    mask = (True,) * depth + (False,) * (N_RANKS - depth)
-    if depth == 0:
-        return TargetDistribution(per_rank, mask)
-
-    deepest = depth - 1
-    y = taxonomy.index_per_rank[deepest].get(label.ranks[deepest])
-    if y is None:
-        raise ConfigError(f"unknown {RANKS[deepest]} class '{label.ranks[deepest]}'")
-    per_rank[deepest] = _smooth_at_rank(taxonomy, deepest, y, mode, epsilon)
-    for r in range(deepest - 1, -1, -1):
-        per_rank[r] = np.bincount(
-            taxonomy.parent[r + 1], weights=per_rank[r + 1], minlength=taxonomy.n_classes(r))
-    true_index = tuple(taxonomy.ancestors[deepest][y].tolist()) + (None,) * (N_RANKS - depth)
-    return TargetDistribution(per_rank, mask, true_index)
+    true_index: tuple[int | None, ...] = (None,) * N_RANKS
+    if depth:
+        deepest = depth - 1
+        y = taxonomy.index_per_rank[deepest].get(label.ranks[deepest])
+        if y is None:
+            raise ConfigError(f"unknown {RANKS[deepest]} class '{label.ranks[deepest]}'")
+        true_index = tuple(taxonomy.ancestors[deepest][y].tolist()) + true_index[depth:]
+    return TargetDistribution(taxonomy, true_index, mode, epsilon)
 
 
 def truncate_to_known(taxonomy: Taxonomy, label: TaxonomicLabel) -> TaxonomicLabel:

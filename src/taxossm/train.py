@@ -37,6 +37,7 @@ from .taxonomy import (
     ClassWeights,
     TargetDistribution,
     Taxonomy,
+    batch_targets,
     smooth_target,
     truncate_to_known,
 )
@@ -169,28 +170,28 @@ def weighted_cross_entropy(
     """Per sample: mean over its labelled ranks of -sum q*log softmax(z), each rank
     term scaled by the true class's weight unless `weights` is None. Batch loss is
     the mean over samples; fully unlabelled samples contribute zero and are counted.
+    `batch_targets` smooths q from class indices; a head with no labelled row gets
+    a zero q shaped like its logits, and so a zero gradient.
     """
     ranks = ssm.head_ranks(head_mode)
     if len(logits) != len(ranks):
         raise ConfigError(f"{len(ranks)} heads expected, got {len(logits)} logit tensors")
     n = len(targets)
     dtype = logits[0].data.dtype
-    n_ranks_per_sample = np.zeros(n)
-    for i, tgt in enumerate(targets):
-        n_ranks_per_sample[i] = sum(1 for r in ranks if tgt.mask[r])
+    index, dists = batch_targets(targets)
+    labelled = index[:, ranks] >= 0
+    n_ranks_per_sample = labelled.sum(axis=1)
     n_fully_masked = int((n_ranks_per_sample == 0).sum())
     denom = np.maximum(n_ranks_per_sample, 1.0)
 
     total = Tensor(np.asarray(0.0, dtype=dtype))
     for head, r in enumerate(ranks):
-        q = np.zeros(logits[head].data.shape, dtype=dtype)
+        rows = labelled[:, head]
+        q = (dists[r].astype(dtype, copy=False) if rows.any()
+             else np.zeros(logits[head].data.shape, dtype=dtype))
         scale = np.zeros(n, dtype=dtype)
-        for i, tgt in enumerate(targets):
-            if not tgt.mask[r]:
-                continue
-            q[i] = tgt.per_rank[r]
-            w = 1.0 if weights is None else float(weights.per_rank[r][tgt.true_index[r]])
-            scale[i] = w / denom[i]
+        w = 1.0 if weights is None else weights.per_rank[r][index[rows, r]]
+        scale[rows] = w / denom[rows]
         logp = nc.log_softmax(logits[head], axis=-1)
         contrib = nc.tsum(nc.mul(nc.mul(logp, Tensor(q)), Tensor(scale[:, None])))
         total = nc.sub(total, contrib)

@@ -9,7 +9,9 @@ from taxossm.records import BarcodeRecord, N_RANKS, TaxonomicLabel, make_label
 from taxossm.seqdata import SynthConfig, synth_generate
 from taxossm.taxonomy import (
     LIFT_MODES,
+    SMOOTHING_MODES,
     Taxonomy,
+    batch_targets,
     build_taxonomy,
     class_weights,
     lift_species_probs,
@@ -17,6 +19,7 @@ from taxossm.taxonomy import (
     truncate_to_known,
 )
 
+from target_oracle import oracle_cases, reference_target, two_kingdom_case
 from toydata import toy_records
 
 
@@ -296,6 +299,53 @@ def test_smooth_targets_sum_to_one_over_random_taxonomies():
                 break
 
 
+def test_batch_targets_match_the_one_record_oracle():
+    single_class_starts = 0
+    for case, (taxo, labels) in enumerate(oracle_cases()):
+        rng = np.random.default_rng(case)
+        for mode in SMOOTHING_MODES:
+            for eps in (0.0, float(rng.uniform(0.05, 0.9))):
+                batch = [labels[i] for i in rng.permutation(len(labels))]
+                index, dists = batch_targets([smooth_target(taxo, lab, mode, eps) for lab in batch])
+                assert index.shape == (len(batch), N_RANKS)
+                for r in range(N_RANKS):
+                    assert dists[r].shape == (len(batch), taxo.n_classes(r))
+                for i, label in enumerate(batch):
+                    per_rank, true_index = reference_target(taxo, label, mode, eps)
+                    for r in range(N_RANKS):
+                        if per_rank[r] is None:
+                            assert index[i, r] == -1 and not dists[r][i].any()
+                        else:
+                            assert index[i, r] == true_index[r]
+                            assert np.array_equal(dists[r][i], per_rank[r]), (case, mode, i, r)
+                    depth = label.depth
+                    single_class_starts += depth > 0 and eps > 0 and taxo.n_classes(depth - 1) == 1
+    assert single_class_starts > 0
+
+
+def test_hierarchical_smoothing_is_uniform_where_no_class_shares_the_kingdom():
+    taxo, labels = two_kingdom_case()
+    for label in labels[:3]:
+        hier = smooth_target(taxo, label, "hierarchical", 0.3).per_rank
+        std = smooth_target(taxo, label, "standard", 0.3).per_rank
+        for r in range(label.depth):
+            assert np.array_equal(hier[r], std[r])
+            assert np.array_equal(hier[r], [0.7, 0.3] if label.ranks[0] == "0_0" else [0.3, 0.7])
+
+
+def test_batch_targets_refuse_a_mixed_batch(toy_taxonomy):
+    label = toy_records()[0].label
+    base = smooth_target(toy_taxonomy, label, "hierarchical", 0.1)
+    twin = build_taxonomy(toy_records())  # equal classes, another object
+    for other in (smooth_target(twin, label, "hierarchical", 0.1),
+                  smooth_target(toy_taxonomy, label, "standard", 0.1),
+                  smooth_target(toy_taxonomy, label, "hierarchical", 0.2)):
+        with pytest.raises(ConfigError, match="share one taxonomy"):
+            batch_targets([base, other])
+    index, _ = batch_targets([base, smooth_target(toy_taxonomy, label, "hierarchical", 0.1)])
+    assert index.tolist() == [[0] * N_RANKS] * 2
+
+
 # ---------------------------------------------------------------------------
 # lift consistency (brute force over species multiplicities)
 
@@ -431,6 +481,21 @@ def test_wide_taxonomy_builds_no_species_by_class_array():
     for s in rng.choice(10_000, size=100, replace=False):
         assert taxo.ancestors[6][s].tolist() == [
             walk_ancestor(taxo, 6, int(s), k) for k in range(N_RANKS)]
+
+
+def test_wide_targets_hold_class_indices_not_dense_vectors():
+    # dense float64 vectors at every rank took 12,816 values (100 KiB) per
+    # record: 990 MiB for these 10^4 targets
+    records = _wide_records()
+    taxo = build_taxonomy(records)
+    tracemalloc.start()
+    try:
+        targets = [smooth_target(taxo, rec.label, "hierarchical", 0.1) for rec in records]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+    assert targets[-1].true_index == tuple(taxo.ancestors[6][9_999].tolist())
 
 
 # ---------------------------------------------------------------------------

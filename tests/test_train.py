@@ -38,6 +38,7 @@ from taxossm.train import (
     weighted_cross_entropy,
 )
 
+from target_oracle import oracle_cases, reference_target, reference_weighted_cross_entropy
 from toydata import toy_records
 
 
@@ -256,6 +257,45 @@ def test_wce_unweighted_unsmoothed_equals_plain_cross_entropy(toy_taxonomy, rng)
         y = target.true_index[r]
         manual += -(z[y] - np.log(np.exp(z - z.max()).sum()) - z.max())
     assert float(loss.data) == pytest.approx(manual / 7.0, rel=1e-12)
+
+
+def test_wce_matches_the_per_record_oracle_bitwise():
+    """Loss and every logit gradient equal a per-record loop's bitwise, on mixed
+    batches holding fully unlabelled rows and heads without a labelled row."""
+    headless = 0
+    for case, (taxo, labels) in enumerate(oracle_cases(n_random=4)):
+        rng = np.random.default_rng(case)
+        weights = class_weights(taxo)
+        for mode, eps in (("none", 0.0), ("standard", 0.3), ("hierarchical", 0.2)):
+            order = rng.permutation(len(labels))
+            # the shallow half leaves the deep heads without a labelled row
+            shallow = sorted(order, key=lambda i: labels[i].depth)[: max(2, len(labels) // 2)]
+            for batch in ([labels[i] for i in order], [labels[i] for i in shallow]):
+                targets = [smooth_target(taxo, lab, mode, eps) for lab in batch]
+                refs = [reference_target(taxo, lab, mode, eps) for lab in batch]
+                for dtype in (np.float64, np.float32):
+                    for head_mode in ("multi", "single"):
+                        ranks = ssm.head_ranks(head_mode)
+                        # a rank with no class gets width-2 logits, as in c05
+                        raw = [rng.normal(size=(len(batch), taxo.n_classes(r) or 2))
+                               for r in ranks]
+                        for w in (weights, None):
+                            def run(loss_fn, tgts):
+                                logits = [Tensor(x, requires_grad=True, dtype=dtype) for x in raw]
+                                loss, skipped = loss_fn(logits, tgts, w, head_mode)
+                                nc.backward(loss)
+                                return loss.data, skipped, [t.grad for t in logits]
+                            got = run(weighted_cross_entropy, targets)
+                            want = run(reference_weighted_cross_entropy, refs)
+                            assert got[0].dtype == want[0].dtype == dtype
+                            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+                            for head, r in enumerate(ranks):
+                                assert got[2][head] is not None
+                                assert np.array_equal(got[2][head], want[2][head]), (case, r)
+                                if all(lab.depth <= r for lab in batch):
+                                    assert not got[2][head].any()
+                                    headless += 1
+    assert headless > 0
 
 
 def test_lm_teacher_forcing_loss_decreases_on_two_sequences():
