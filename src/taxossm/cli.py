@@ -25,9 +25,9 @@ from .taxonomy import build_taxonomy
 from .tokenizers import bpe_train, char_vocab, kmer_vocab, load_vocab, save_vocab
 
 
-def _defaults(cls, *skip: str) -> dict:
-    """The field defaults of the dataclass `cls`, less the fields `skip`."""
-    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+def _defaults(cls) -> dict:
+    """The field defaults of the dataclass `cls`."""
+    return {f.name: f.default for f in fields(cls)}
 
 
 def _keyword_default(fn, name: str):
@@ -45,7 +45,7 @@ DEFAULT_CONFIG = {
         "checkpoint": None,
         "ttest_input": None,
     },
-    "synth": _defaults(SynthConfig, "max_species"),
+    "synth": _defaults(SynthConfig),
     "filter": _defaults(FilterConfig),
     "split": {"fractions": [0.8, 0.1, 0.1], "seed": 0},
     "tokenizer": {"kind": "bpe", "vocab_size": 512, "k": 6},
@@ -294,7 +294,7 @@ def cmd_besthit(cfg, out: Path):
             best_i, sim = evaluation.besthit_similarity(index, rec.sequence)
             label = index.labels[best_i]
             row = [rec.id] + [name or "" for name in label.ranks]
-            row += [f"{sim:.6f}", str(int(sim < index.low_confidence_threshold))]
+            row += [f"{sim:.6f}", str(int(sim < evaluation.LOW_CONFIDENCE))]
             fh.write("\t".join(row) + "\n")
     print(f"wrote best-hit predictions for {len(test_recs)} queries to {out / 'besthit.tsv'}")
 

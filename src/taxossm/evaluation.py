@@ -13,9 +13,11 @@ from . import numcore as nc
 from . import ssm
 from .errors import ConfigError, ContractError, DegenerateVarianceError, EmptyDatasetError
 from .records import BarcodeRecord, N_RANKS, RANKS, TaxonomicLabel
-from .taxonomy import Taxonomy, lift_species_probs
+from .taxonomy import LIFT_MODES, Taxonomy, lift_species_probs
 from .tokenizers import Vocab, encode
 from .train import pad_batch
+
+LOW_CONFIDENCE = 0.1  # `besthit` flags a best hit below this containment similarity
 
 
 @dataclass
@@ -216,7 +218,6 @@ class BestHitIndex:
     ref_ids: np.ndarray
     counts: np.ndarray
     labels: list[TaxonomicLabel]
-    low_confidence_threshold: float = 0.1
 
 
 def _code_points(sequence: str) -> np.ndarray:
@@ -362,6 +363,10 @@ def predict_dataset(
     Multi-head models argmax each head; single-head models predict species and
     derive the other ranks with `lift_mode`.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if lift_mode not in LIFT_MODES:
+        raise ConfigError(f"lift_mode must be one of {LIFT_MODES}, got '{lift_mode}'")
     n = len(records)
     preds = np.zeros((n, N_RANKS), dtype=np.int64)
     confs = np.zeros((n, N_RANKS), dtype=np.float64)
@@ -402,6 +407,8 @@ def time_inference(
     batch_size: int,
 ) -> TimingResult:
     """Wall-clock per-sample forward cost; the first (warm-up) batch is excluded."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     tokens = [encode(vocab, r.sequence, state.config.max_len).ids for r in records]
     batches = [tokens[s:s + batch_size] for s in range(0, len(tokens), batch_size)]
     if len(batches) < 2:

@@ -75,6 +75,9 @@ class OverlapReport:
         return json.dumps(asdict(self), indent=2)
 
 
+MAX_SPECIES = 10**6  # the generator's cap on the product of the fan-outs
+
+
 @dataclass
 class SynthConfig:
     """Parameters of the synthetic taxonomy/corpus generator."""
@@ -86,7 +89,6 @@ class SynthConfig:
     samples_per_species: int = 10
     label_dropout_per_rank: tuple[float, ...] = (0.0,) * 7
     seed: int = 0
-    max_species: int = 10**6
 
     def __post_init__(self):
         if len(self.rank_fanouts) != N_RANKS:
@@ -105,9 +107,9 @@ class SynthConfig:
         if self.samples_per_species < 1:
             raise ConfigError("samples_per_species must be >= 1")
         n_species = math.prod(self.rank_fanouts)
-        if n_species > self.max_species:
+        if n_species > MAX_SPECIES:
             raise ConfigError(
-                f"fanout product {n_species} exceeds the cap of {self.max_species} species"
+                f"fanout product {n_species} exceeds the cap of {MAX_SPECIES} species"
             )
 
 

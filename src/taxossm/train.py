@@ -6,8 +6,9 @@ round-trip parameters, optimizer moments and the generator state bitwise.
 
 `pretrain` and `finetune` set up a model and the loss of one batch; one epoch
 loop (`_fit`) runs every stage with its optimizer, shuffling, early stopping,
-metrics log and checkpoints. `_check_pinned` refuses a checkpoint that differs
-from the run in a setting its use pins (see `finetune` and `_RESUME_FREE`).
+metrics log and checkpoints, and keeps its progress only as the history and the
+best epoch. `_check_pinned` refuses a checkpoint that differs from the run in a
+setting its use pins (see `finetune` and `_RESUME_FREE`).
 `_fit` pads glibc's heap top, so no train step re-faults pages the last one freed.
 """
 from __future__ import annotations
@@ -16,7 +17,8 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, asdict, field, fields, replace
+import typing
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -202,15 +204,15 @@ def weighted_cross_entropy(
 # checkpointing
 
 
-# the checkpoint layout this build writes and reads: 2 is one blob holding
-# every tensor group; 1, which had no `format_version` key, was one file per tensor
-FORMAT_VERSION = 2
-_BLOB = "tensors.bin"
+# the checkpoint layout this build writes and reads: 3 is one blob holding every
+# tensor group and a manifest that names no file and keeps no progress the history
+# does not hold; 1, which had no `format_version` key, was one file per tensor
+FORMAT_VERSION = 3
+_BLOB, _VOCAB, _TAXONOMY = "tensors.bin", "vocab.txt", "taxonomy.json"
 # what `_fit` and `_write_checkpoint` write
-_MANIFEST_KEYS = {"format_version", "stage", "model_config", "train_config", "norm_param_names",
-                  "class_counts", "epoch", "history", "best_epoch", "best_val_loss",
-                  "bad_epochs", "adam_step", "rng_state", "tensors", "vocab_file",
-                  "taxonomy_file"}
+_MANIFEST_KEYS = {"format_version", "model_config", "train_config", "class_counts", "epoch",
+                  "history", "best_epoch", "best_val_loss", "adam_step", "rng_state", "tensors"}
+_MODEL_CONFIG_TYPES = typing.get_type_hints(ssm.ModelConfig)
 
 
 def _key_set_errors(what: str, keys, expected: set) -> list[str]:
@@ -220,9 +222,9 @@ def _key_set_errors(what: str, keys, expected: set) -> list[str]:
 
 
 class Checkpoint:
-    """A checkpoint directory: manifest.json, the vocabulary, the taxonomy if the
-    model has heads, and the blob tensors.bin, whose tensors the manifest indexes
-    per group by dtype, shape, byte offset and crc32."""
+    """A checkpoint directory: manifest.json, vocab.txt, taxonomy.json once the
+    model has heads (`class_counts` is not null), and the blob tensors.bin, whose
+    tensors the manifest indexes per group by dtype, shape, byte offset and crc32."""
 
     def __init__(self, directory):
         self.dir = Path(directory)
@@ -255,9 +257,20 @@ class Checkpoint:
                           f"ints: {counts!r}")
         if errors:
             raise ParseError("checkpoint " + "; ".join(errors), path=path)
+        self.model_config()
 
     def model_config(self) -> ssm.ModelConfig:
-        return ssm.ModelConfig(**self.manifest["model_config"])
+        """The manifest's model config; a wrong-typed or out-of-range value is a ParseError."""
+        section = self.manifest["model_config"]
+        try:
+            for name, value in section.items():
+                if type(value) is not _MODEL_CONFIG_TYPES[name]:
+                    raise ConfigError(f"{name} must be {_MODEL_CONFIG_TYPES[name].__name__}, "
+                                      f"got {value!r}")
+            return ssm.ModelConfig(**section)
+        except ConfigError as exc:
+            raise ParseError(f"checkpoint model_config: {exc}",
+                             path=self.dir / "manifest.json") from None
 
     def load_arrays(self, group: str) -> dict[str, np.ndarray]:
         """The tensors of `group`. The blob is read in one read and every tensor
@@ -265,11 +278,8 @@ class Checkpoint:
         back, so each one's bytes run to the next one's offset and the last one's
         to the end of the blob, and `load_tensor` checks that byte count against
         the shape and then the crc32."""
-        path = self.dir / _BLOB
-        try:
-            blob = memoryview(path.read_bytes())
-        except FileNotFoundError:
-            raise ParseError("checkpoint tensor blob is missing", path=path) from None
+        path = self._file(_BLOB, "tensor blob")
+        blob = memoryview(path.read_bytes())
         index = self.manifest["tensors"]
         try:
             layout = sorted((entry["offset"], g, name)
@@ -311,13 +321,19 @@ class Checkpoint:
             state.params[name].data = arr
         return state
 
+    def _file(self, name: str, what: str) -> Path:
+        path = self.dir / name
+        if not path.is_file():
+            raise ParseError(f"checkpoint {what} is missing", path=path)
+        return path
+
     def load_vocab(self) -> Vocab:
-        return load_vocab(self.dir / self.manifest["vocab_file"])
+        return load_vocab(self._file(_VOCAB, "vocabulary"))
 
     def load_taxonomy(self) -> Taxonomy:
-        if not self.manifest.get("taxonomy_file"):
+        if self.manifest["class_counts"] is None:
             raise ConfigError("checkpoint has no taxonomy")
-        return Taxonomy.load(self.dir / self.manifest["taxonomy_file"])
+        return Taxonomy.load(self._file(_TAXONOMY, "taxonomy"))
 
 
 def _fsync(path: Path):
@@ -344,13 +360,9 @@ def _write_checkpoint(dest: Path, manifest: dict, groups: dict[str, dict[str, np
         for group, arrays in groups.items():
             manifest["tensors"][group] = {name: nc.save_tensor(fh, arrays[name])
                                           for name in sorted(arrays)}
-    manifest["vocab_file"] = "vocab.txt"
-    save_vocab(vocab, tmp / "vocab.txt")
+    save_vocab(vocab, tmp / _VOCAB)
     if taxonomy is not None:
-        manifest["taxonomy_file"] = "taxonomy.json"
-        taxonomy.save(tmp / "taxonomy.json")
-    else:
-        manifest["taxonomy_file"] = None
+        taxonomy.save(tmp / _TAXONOMY)
     with open(tmp / "manifest.json", "w", encoding="ascii") as fh:
         fh.write(json.dumps(manifest, indent=1, sort_keys=True))  # one write, not thousands
     for path in [*tmp.iterdir(), tmp]:
@@ -370,28 +382,10 @@ def _write_checkpoint(dest: Path, manifest: dict, groups: dict[str, dict[str, np
 # training loops
 
 
-@dataclass
-class _LoopState:
-    epoch: int = 0
-    best_val: float = float("inf")
-    best_epoch: int = -1
-    bad_epochs: int = 0
-    history: list = field(default_factory=list)
-
-
 def _batch_iter(n: int, batch_size: int, order=None):
     idx = np.arange(n) if order is None else order
     for start in range(0, n, batch_size):
         yield idx[start:start + batch_size]
-
-
-def _stop_early(loop: _LoopState, patience: int) -> bool:
-    # patience counts tolerated non-improving epochs; 0 stops on the first one
-    return loop.bad_epochs >= max(patience, 1)
-
-
-def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {k: p.data.copy() for k, p in params.items()}
 
 
 class _MetricsLog:
@@ -466,7 +460,7 @@ def _check_pinned(ckpt: Checkpoint, use: str, pinned: dict):
     with the run on every setting in `pinned`, a `_settings` key -> the run's
     value. Runs before any of the checkpoint's arrays is loaded."""
     m = ckpt.manifest
-    taxonomy = ckpt.load_taxonomy() if m["taxonomy_file"] else None
+    taxonomy = None if m["class_counts"] is None else ckpt.load_taxonomy()
     saved = _settings(m["model_config"], m["train_config"], m["class_counts"], taxonomy,
                       ckpt.load_vocab())
     mismatches = [
@@ -478,15 +472,15 @@ def _check_pinned(ckpt: Checkpoint, use: str, pinned: dict):
 
 
 def _resume(out_dir: Path, pinned: dict, state: ssm.ModelState, opt: AdamW,
-            rng: np.random.Generator, loop: _LoopState):
+            rng: np.random.Generator) -> tuple[list, int, dict | None]:
     """Load `last` into the run, once it agrees on the settings `pinned`; returns
-    its best parameters, or None without one."""
+    its history, best epoch and best parameters, or a run that has not started."""
     last = out_dir / "last"
     if not (last / "manifest.json").exists():
         # a crash between the two renames in _write_checkpoint leaves only last.old
         last = out_dir / "last.old"
     if not (last / "manifest.json").exists():
-        return None
+        return [], 0, None
     ckpt = Checkpoint(last)
     _check_pinned(ckpt, "resume from", pinned)
     for name, arr in ckpt.load_params("params", state.params).items():
@@ -495,12 +489,8 @@ def _resume(out_dir: Path, pinned: dict, state: ssm.ModelState, opt: AdamW,
     opt.v = ckpt.load_params("opt_v", state.params)
     opt.t = ckpt.manifest["adam_step"]
     rng.bit_generator.state = ckpt.manifest["rng_state"]
-    loop.epoch = ckpt.manifest["epoch"]
-    loop.history = ckpt.manifest["history"]
-    loop.best_epoch = ckpt.manifest["best_epoch"]
-    loop.best_val = ckpt.manifest["best_val_loss"]
-    loop.bad_epochs = ckpt.manifest["bad_epochs"]
-    return ckpt.load_params("best", state.params)
+    return (ckpt.manifest["history"], ckpt.manifest["best_epoch"],
+            ckpt.load_params("best", state.params))
 
 
 _M_TOP_PAD = -2  # glibc's mallopt parameter number, from <malloc.h>
@@ -527,8 +517,10 @@ def _fit(state: ssm.ModelState, cfg: TrainConfig, out_dir, vocab: Vocab,
          taxonomy: Taxonomy | None, resume: bool, n_train: int, n_val: int,
          batch_loss) -> Checkpoint:
     """The epoch loop of every stage. Each epoch takes one AdamW step per shuffled
-    training batch, then a validation pass, logs both losses, updates early
-    stopping and writes `last`; `final` then holds the best epoch's parameters.
+    training batch, then a validation pass, logs both losses, appends them to
+    the history and writes `last`; `final` then holds the best epoch's parameters.
+    The history and the best epoch (the first with the lowest validation loss, 0
+    before any) are all the progress it keeps; the epoch is the history's length.
 
     `batch_loss(split, indices)` returns the scalar loss tensor of the records
     `indices` of `split` ("train" or "val") and its weight in the epoch mean.
@@ -539,25 +531,23 @@ def _fit(state: ssm.ModelState, cfg: TrainConfig, out_dir, vocab: Vocab,
     opt = AdamW(state.params, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps,
                 cfg.weight_decay, state.norm_param_names)
     rng = np.random.default_rng(cfg.seed)
-    loop = _LoopState()
-    best_params = None
+    history, best_epoch, best_params = [], 0, None
     if resume:
         run = _settings(asdict(state.config), asdict(cfg), state.class_counts, taxonomy, vocab)
         pinned = {k: v for k, v in run.items() if k not in _RESUME_FREE}
-        best_params = _resume(out_dir, pinned, state, opt, rng, loop)
-    if best_params is None:
-        best_params = _snapshot(state.params)
+        history, best_epoch, best_params = _resume(out_dir, pinned, state, opt, rng)
     log = _MetricsLog(out_dir / "metrics.jsonl")
-    log.keep_through(loop.epoch)
+    log.keep_through(len(history))
+
+    def best_val_loss():
+        return history[best_epoch - 1]["val_loss"] if best_epoch else float("inf")
 
     def manifest(epoch):
         return {
-            "stage": cfg.stage, "model_config": asdict(state.config),
-            "train_config": asdict(cfg), "norm_param_names": sorted(state.norm_param_names),
-            "class_counts": state.class_counts, "epoch": epoch, "history": loop.history,
-            "best_epoch": loop.best_epoch, "best_val_loss": loop.best_val,
-            "bad_epochs": loop.bad_epochs, "adam_step": opt.t,
-            "rng_state": rng.bit_generator.state,
+            "model_config": asdict(state.config), "train_config": asdict(cfg),
+            "class_counts": state.class_counts, "epoch": epoch, "history": history,
+            "best_epoch": best_epoch, "best_val_loss": best_val_loss(),
+            "adam_step": opt.t, "rng_state": rng.bit_generator.state,
         }
 
     # both steps return floats, so no batch's autograd graph outlives its step
@@ -573,8 +563,8 @@ def _fit(state: ssm.ModelState, cfg: TrainConfig, out_dir, vocab: Vocab,
         return float(loss.data), weight
 
     started = time.monotonic()
-    while loop.epoch < cfg.max_epochs:
-        epoch = loop.epoch + 1
+    while len(history) < cfg.max_epochs:
+        epoch = len(history) + 1
         t0 = time.monotonic()
         order = rng.permutation(n_train)
         train_loss = _weighted_mean(train_step, _batch_iter(n_train, cfg.batch_size, order))
@@ -589,25 +579,21 @@ def _fit(state: ssm.ModelState, cfg: TrainConfig, out_dir, vocab: Vocab,
         log.write(epoch=epoch, split="val", loss=val_loss, lr=cfg.lr,
                   wall_ms=1000.0 * (time.monotonic() - t0))
 
-        loop.epoch = epoch
-        loop.history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
-        if val_loss < loop.best_val:
-            loop.best_val = val_loss
-            loop.best_epoch = epoch
-            loop.bad_epochs = 0
-            best_params = _snapshot(state.params)
-        else:
-            loop.bad_epochs += 1
+        history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
+        if val_loss < best_val_loss():  # strict, so the first minimum stays the best
+            best_epoch = epoch
+            best_params = {k: p.data.copy() for k, p in state.params.items()}
 
         groups = {"params": {k: p.data for k, p in state.params.items()},
                   "opt_m": opt.m, "opt_v": opt.v, "best": best_params}
         _write_checkpoint(out_dir / "last", manifest(epoch), groups, vocab, taxonomy)
-        if _stop_early(loop, cfg.patience):
+        # patience counts tolerated non-improving epochs; 0 stops on the first one
+        if epoch - best_epoch >= max(cfg.patience, 1):
             break
         if cfg.wall_clock_limit is not None and time.monotonic() - started > cfg.wall_clock_limit:
             break
 
-    _write_checkpoint(out_dir / "final", manifest(loop.best_epoch), {"params": best_params},
+    _write_checkpoint(out_dir / "final", manifest(best_epoch), {"params": best_params},
                       vocab, taxonomy)
     return Checkpoint(out_dir / "final")
 
@@ -677,7 +663,7 @@ def finetune(
     state = ssm.init_model(model_cfg, seed=cfg.seed)
     if ckpt is not None:
         for name, arr in ckpt.load_params("params", state.params).items():
-            state.params[name].data = arr.copy()
+            state.params[name].data = arr
 
     if cfg.head_mode == "single" and not any(
             r.label.depth == N_RANKS for r in train_records):

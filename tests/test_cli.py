@@ -160,7 +160,7 @@ def test_pipeline_end_to_end(tmp_path):
                 "--set", f"paths.val_fasta={val_fa}",
                 "--set", f"paths.checkpoint={work / 'pt'}"] + TINY) == 0
     manifest = read_json(work / "ft" / "final" / "manifest.json")
-    assert manifest["stage"] == "finetune"
+    assert manifest["train_config"]["stage"] == "finetune"
 
     assert run(["evaluate", "--out", work / "ev",
                 "--set", f"paths.checkpoint={work / 'ft'}",
@@ -318,3 +318,38 @@ def test_predict_on_unlabelled_fasta(tmp_path):
     lines = (work / "pred" / "predictions.tsv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[1].split("\t")[0] == "q1"
+
+
+@pytest.fixture(scope="module")
+def multi_head_run(tmp_path_factory):
+    """A scratch-trained multi-head checkpoint directory and a FASTA to predict."""
+    work = tmp_path_factory.mktemp("multi_head")
+    assert run(["synth", "--out", work / "synth", "--seed", "4"] + TINY) == 0
+    assert run(["preprocess", "--out", work / "prep", "--seed", "4",
+                "--set", f"paths.input_fasta={work / 'synth' / 'synth.fasta'}"] + TINY) == 0
+    assert run(["tok-train", "--out", work / "tok",
+                "--set", f"paths.train_fasta={work / 'prep' / 'train.fasta'}"] + TINY) == 0
+    assert run(["finetune", "--out", work / "ft", "--seed", "4",
+                "--set", f"paths.train_fasta={work / 'prep' / 'train.fasta'}",
+                "--set", f"paths.val_fasta={work / 'prep' / 'val.fasta'}",
+                "--set", f"paths.vocab={work / 'tok' / 'vocab.txt'}",
+                "--set", "train.stage=scratch"] + TINY) == 0
+    return work / "ft", work / "prep" / "test.fasta"
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("eval.batch_size=-1", "batch_size must be >= 1, got -1"),
+    ("eval.batch_size=0", "batch_size must be >= 1, got 0"),
+    ("eval.lift_mode=bogus", "lift_mode must be one of ('sum', 'argmax_path'), got 'bogus'"),
+], ids=["negative_batch", "zero_batch", "unknown_lift_mode"])
+def test_predict_refuses_bad_eval_settings(tmp_path, capsys, multi_head_run, setting, message):
+    checkpoint, fasta = multi_head_run
+    capsys.readouterr()
+    code = run(["predict", "--out", tmp_path / "pred",
+                "--set", f"paths.checkpoint={checkpoint}",
+                "--set", f"paths.input_fasta={fasta}"] + TINY + ["--set", setting])
+    assert code == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0]) == {"error": "ConfigError", "message": message}
+    assert not (tmp_path / "pred" / "predictions.tsv").exists()

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from taxossm.errors import ConfigError, ContractError, DegenerateVarianceError
 from taxossm.evaluation import (
+    LOW_CONFIDENCE,
     RankMetrics,
     TimingResult,
     _code_points,
@@ -14,10 +15,11 @@ from taxossm.evaluation import (
     betainc_regularized,
     evaluate,
     paired_t_test,
+    predict_dataset,
     time_inference,
 )
 from taxossm.records import BarcodeRecord, N_RANKS, make_label
-from taxossm.taxonomy import build_taxonomy
+from taxossm.taxonomy import LIFT_MODES, build_taxonomy, lift_species_probs
 
 
 def labelled_records(names_per_record):
@@ -308,7 +310,7 @@ def test_besthit_no_shared_kmers_ties_to_first_index():
     records, index = besthit_fixture()
     idx, sim = besthit_similarity(index, "NNNNNNNN")
     assert idx == 0 and sim == 0.0
-    assert sim < index.low_confidence_threshold
+    assert sim < LOW_CONFIDENCE
 
 
 def test_besthit_query_shorter_than_k_errors():
@@ -510,3 +512,50 @@ def test_time_inference_counts_exclude_warmup():
     assert result.ms_per_sample > 0.0
     with pytest.raises(ConfigError):
         time_inference(state, vocab, records[:3], batch_size=4)
+
+
+# ---------------------------------------------------------------------------
+# single-head prediction
+
+
+def _species_probs(state, vocab, records, batch_size):
+    """Each record's species softmax in f64, renormalised, batch by batch."""
+    from taxossm import numcore as nc, ssm
+    from taxossm.tokenizers import encode
+    from taxossm.train import pad_batch
+    out = []
+    for start in range(0, len(records), batch_size):
+        ids, mask = pad_batch([encode(vocab, r.sequence, state.config.max_len).ids
+                               for r in records[start:start + batch_size]])
+        with nc.no_grad():
+            logits = ssm.classify(state, ssm.model_forward(state, ids, mask), mask)
+        probs = nc.softmax(logits[0], axis=-1).data.astype(np.float64)
+        out.extend(probs / probs.sum(axis=-1, keepdims=True))
+    return out
+
+
+@pytest.mark.parametrize("lift_mode", LIFT_MODES)
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_single_head_predictions_are_the_lifted_species_softmax(rng, lift_mode, batch_size):
+    from taxossm import ssm
+    from taxossm.tokenizers import char_vocab
+    records = [BarcodeRecord(f"r{i}", "".join(rng.choice(list("ACGT"), rng.integers(6, 30))),
+                             make_label("K", "P", "C", "O", f"F{i % 2}", f"G{i % 4}",
+                                        f"S{i % 8}"))
+               for i in range(16)]
+    taxonomy = build_taxonomy(records)
+    vocab = char_vocab()
+    state = ssm.init_model(ssm.ModelConfig(vocab_size=len(vocab), d_model=8, n_blocks=1,
+                                           head_dim=4, d_state=4, max_len=40,
+                                           head_mode="single"), seed=0)
+    ssm.add_classification_heads(state, taxonomy.class_counts(), seed=1)
+    head = state.params[f"heads.{N_RANKS - 1}.w"].data
+    head[...] = rng.normal(0.0, 3.0, head.shape)  # so the records' predictions differ
+    preds, confs = predict_dataset(state, vocab, taxonomy, records, batch_size=batch_size,
+                                   lift_mode=lift_mode)
+    assert preds.shape == confs.shape == (len(records), N_RANKS)
+    assert len(set(preds[:, -1])) > 1
+    for i, probs in enumerate(_species_probs(state, vocab, records, batch_size)):
+        lifted = lift_species_probs(taxonomy, probs, mode=lift_mode)
+        assert np.array_equal(preds[i], [p.argmax() for p in lifted])
+        assert np.array_equal(confs[i], [p.max() for p in lifted])

@@ -409,6 +409,33 @@ def test_pretrain_resume_reproduces_uninterrupted_run(tmp_path):
                                       tmp_path / "resumed" / "final")
 
 
+def test_resume_mid_plateau_stops_where_the_uninterrupted_run_stops(tmp_path):
+    # lr=1e-30 cannot move the parameters, so epoch 1 stays the best and every
+    # later epoch extends the plateau: with patience 2 the run stops at epoch 3.
+    # The half run's `last` is epoch 2, one epoch into the plateau; a resume
+    # that lost that count would train a fourth epoch
+    train_recs, val_recs, _ = _synth_split()
+    vocab = bpe_train([r.sequence for r in train_recs], 12)
+    mcfg = _tiny_model(vocab)
+    full_cfg = TrainConfig(stage="pretrain", lr=1e-30, max_epochs=10, batch_size=16, seed=3,
+                           patience=2)
+    full = pretrain(train_recs, val_recs, vocab, mcfg, full_cfg, tmp_path / "full")
+    assert len(full.manifest["history"]) == 3 and full.manifest["best_epoch"] == 1
+
+    pretrain(train_recs, val_recs, vocab, mcfg, replace(full_cfg, max_epochs=2),
+             tmp_path / "resumed")
+    last = json.loads((tmp_path / "resumed" / "last" / "manifest.json").read_text())
+    assert (last["epoch"], last["best_epoch"]) == (2, 1)
+    resumed = pretrain(train_recs, val_recs, vocab, mcfg, full_cfg,
+                       tmp_path / "resumed", resume=True)
+
+    assert resumed.manifest["history"] == full.manifest["history"]
+    _assert_checkpoints_bitwise_equal(tmp_path / "full" / "final",
+                                      tmp_path / "resumed" / "final")
+    _assert_checkpoints_bitwise_equal(tmp_path / "full" / "last",
+                                      tmp_path / "resumed" / "last")
+
+
 def test_pretrain_resumes_from_last_old_after_crash_between_renames(tmp_path):
     train_recs, val_recs, _ = _synth_split()
     vocab = bpe_train([r.sequence for r in train_recs], 12)
@@ -667,9 +694,21 @@ def test_checkpoint_round_trip_and_metrics_log(tmp_path):
      "class_counts is not null or a list of 7 positive ints: [1, 1, 2, 2.0, 3, 4, True]"),
     (lambda m: m.update(class_counts={"species": 3}),
      "class_counts is not null or a list of 7 positive ints: {'species': 3}"),
+    (lambda m: m.update(vocab_file="../ft1/final/vocab.txt"),
+     "manifest has unknown keys ['vocab_file']"),
+    (lambda m: m["model_config"].update(d_model="64"),
+     "model_config: d_model must be int, got '64'"),
+    (lambda m: m["model_config"].update(n_blocks=True),
+     "model_config: n_blocks must be int, got True"),
+    (lambda m: m["model_config"].update(head_mode=None),
+     "model_config: head_mode must be str, got None"),
+    (lambda m: m["model_config"].update(d_model=0), "model_config: d_model must be positive, got 0"),
+    (lambda m: m["model_config"].update(head_dim=5),
+     "model_config: expand*d_model = 32 not divisible by head_dim = 5"),
 ], ids=["manifest", "model_config", "train_config", "model_config_not_object",
         "class_counts_six", "class_counts_zero", "class_counts_not_ints",
-        "class_counts_not_list"])
+        "class_counts_not_list", "file_path", "model_config_str", "model_config_bool",
+        "model_config_null", "model_config_zero", "model_config_indivisible"])
 def test_checkpoint_manifest_with_other_keys_names_them(tmp_path, edit, named):
     train_recs, val_recs, _ = _synth_split()
     vocab = char_vocab()
@@ -681,6 +720,24 @@ def test_checkpoint_manifest_with_other_keys_names_them(tmp_path, edit, named):
     with pytest.raises(ParseError) as err:
         train.Checkpoint(final)
     assert str(err.value) == f"{final / 'manifest.json'}: checkpoint {named}"
+
+
+@pytest.mark.parametrize("name, what, load", [
+    ("vocab.txt", "vocabulary", train.Checkpoint.load_vocab),
+    ("taxonomy.json", "taxonomy", train.Checkpoint.load_taxonomy),
+], ids=["vocabulary", "taxonomy"])
+def test_checkpoint_without_its_vocabulary_or_taxonomy_names_the_file(tmp_path, name, what,
+                                                                      load):
+    train_recs, val_recs, _ = _synth_split()
+    vocab = char_vocab()
+    cfg = TrainConfig(stage="scratch", max_epochs=1, batch_size=16, seed=0)
+    final = finetune(train_recs, val_recs, build_taxonomy(train_recs), vocab, cfg, tmp_path,
+                     model_cfg=_tiny_model(vocab)).dir
+    (final / name).unlink()
+    with pytest.raises(ParseError) as err:
+        load(train.Checkpoint(final))
+    assert err.value.path == final / name
+    assert str(err.value) == f"{final / name}: checkpoint {what} is missing"
 
 
 def test_checkpoint_manifest_text_is_what_json_dump_writes(tmp_path):
@@ -733,8 +790,9 @@ def test_corrupt_checkpoint_blob_raises_parse_error_naming_it(tmp_path, fault, n
 
 
 @pytest.mark.parametrize("version, found", [
-    (None, "no format_version (format 1, a file per tensor)"), (3, "format_version 3"),
-], ids=["unversioned", "newer"])
+    (None, "no format_version (format 1, a file per tensor)"), (2, "format_version 2"),
+    (4, "format_version 4"),
+], ids=["unversioned", "older", "newer"])
 def test_checkpoint_of_another_format_version_names_it(tmp_path, version, found):
     train_recs, val_recs, _ = _synth_split()
     vocab = char_vocab()
@@ -748,7 +806,7 @@ def test_checkpoint_of_another_format_version_names_it(tmp_path, version, found)
     with pytest.raises(ParseError) as err:
         train.Checkpoint(final)
     assert str(err.value) == (f"{final / 'manifest.json'}: checkpoint has {found}; "
-                              "this build reads format_version 2")
+                              "this build reads format_version 3")
 
 
 def test_checkpoint_file_count_does_not_grow_with_the_tensor_count(tmp_path):
