@@ -1,4 +1,4 @@
-"""Batch command-line pipeline.
+"""Batch command-line pipeline: one flat parser of a command and its options.
 
 Every subcommand reads a JSON config (all keys optional, unknown keys
 rejected), applies --set dotted-path overrides, writes a resolved-config
@@ -330,28 +330,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="taxossm",
         description="Barcode taxonomy pipeline: synthesize, preprocess, train, evaluate.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="dotted-path config override (repeatable)")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override synth/split/train seeds at once")
-        if name in ("pretrain", "finetune"):
-            p.add_argument("--resume", action="store_true",
-                           help="continue from the last checkpoint in --out, if there is one")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="dotted-path config override (repeatable)")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override synth/split/train seeds at once")
+    parser.add_argument("--resume", action="store_true",
+                        help="continue pretrain/finetune from the last checkpoint in --out")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.resume and args.command not in ("pretrain", "finetune"):
+        parser.error(f"--resume does not apply to {args.command}")
     try:
         config = resolve_config(args.config, args.set, args.seed)
         out = Path(args.out)
         _snapshot(config, out)
-        extra = {"resume": args.resume} if "resume" in args else {}
+        extra = {"resume": True} if args.resume else {}
         train._keep_heap_top()
         COMMANDS[args.command](config, out, **extra)
         return 0

@@ -1,5 +1,5 @@
-"""Per-rank metrics with unseen-class filtering, paired t-tests, a k-mer
-best-hit baseline classifier, inference prediction and timing."""
+"""Per-rank metrics with unseen-class filtering, paired t-tests, a k-mer best-hit
+baseline classifier, and inference: one prediction path for both head modes, timing."""
 from __future__ import annotations
 
 import json
@@ -360,8 +360,9 @@ def predict_dataset(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-rank predicted class indices and confidences, shape (N, 7) each.
 
-    Multi-head models argmax each head; single-head models predict species and
-    derive the other ranks with `lift_mode`.
+    Each batch yields one probability array per rank, a multi-head model's head
+    softmaxes or the `lift_mode` lift of a single-head model's species softmax
+    (renormalised in f64); a record's prediction is its row's argmax, its confidence the max.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -375,21 +376,16 @@ def predict_dataset(
         for start in range(0, n, batch_size):
             chunk = tokens[start:start + batch_size]
             ids, mask = pad_batch(chunk)
-            hidden = ssm.model_forward(state, ids, mask)
-            logits = ssm.classify(state, hidden, mask)
-            if state.config.head_mode == "multi":
-                for r, logit in enumerate(logits):
-                    probs = nc.softmax(logit, axis=-1).data
-                    preds[start:start + len(chunk), r] = probs.argmax(axis=-1)
-                    confs[start:start + len(chunk), r] = probs.max(axis=-1)
+            logits = ssm.classify(state, ssm.model_forward(state, ids, mask), mask)
+            if state.config.head_mode == "multi":  # lazily: one head's softmax at a time
+                per_rank = (nc.softmax(logit, axis=-1).data for logit in logits)
             else:
-                probs = nc.softmax(logits[0], axis=-1).data.astype(np.float64)
-                probs /= probs.sum(axis=-1, keepdims=True)
-                for i in range(len(chunk)):
-                    lifted = lift_species_probs(taxonomy, probs[i], mode=lift_mode)
-                    for r in range(N_RANKS):
-                        preds[start + i, r] = int(lifted[r].argmax())
-                        confs[start + i, r] = float(lifted[r].max())
+                species = nc.softmax(logits[0], axis=-1).data.astype(np.float64)
+                species /= species.sum(axis=-1, keepdims=True)
+                per_rank = lift_species_probs(taxonomy, species, mode=lift_mode)
+            for r, probs in enumerate(per_rank):
+                preds[start:start + len(chunk), r] = probs.argmax(axis=-1)
+                confs[start:start + len(chunk), r] = probs.max(axis=-1)
     return preds, confs
 
 

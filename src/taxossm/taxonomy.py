@@ -217,12 +217,21 @@ def _smoothed(taxonomy: Taxonomy, rank: int, y: np.ndarray, mode: str, epsilon: 
     return q
 
 
+def _lift_rows(q: np.ndarray, to: np.ndarray, n: int) -> np.ndarray:
+    """(B, n): each row of q (B, m) summed into the classes `to` (m,) names, by one
+    bincount over row * n + `to` keys, which adds each row's columns in order."""
+    b = len(q)
+    keys = (np.arange(b) * n)[:, None] + to
+    lifted = np.bincount(keys.ravel(), weights=q.ravel(), minlength=b * n).reshape(b, n)
+    return lifted.astype(np.float64, copy=False)  # a bincount of nothing is int
+
+
 def batch_targets(targets: list[TargetDistribution]) -> tuple[np.ndarray, list[np.ndarray]]:
     """A batch's class indices (B, N_RANKS), -1 where unlabelled, and per rank its
     (B, n_classes) target distributions, zero where unlabelled. From species up,
-    rows start from their smoothed vector at their deepest rank, and one bincount
-    over row * n_classes + parent keys lifts every row a rank up, adding in the
-    order a one-record lift does. A batch mixing taxonomies or smoothing raises.
+    rows start from their smoothed vector at their deepest rank, and `_lift_rows`
+    over the parent links lifts every row a rank up, adding in the order a
+    one-record lift does. A batch mixing taxonomies or smoothing raises.
     """
     taxonomy, mode, epsilon = targets[0].taxonomy, targets[0].mode, targets[0].epsilon
     if any(t.taxonomy is not taxonomy or t.mode != mode or t.epsilon != epsilon
@@ -234,12 +243,8 @@ def batch_targets(targets: list[TargetDistribution]) -> tuple[np.ndarray, list[n
     dists: list[np.ndarray] = [None] * N_RANKS
     for r in range(N_RANKS - 1, -1, -1):
         n = taxonomy.n_classes(r)
-        if r == N_RANKS - 1 or dists[r + 1].size == 0:  # bincount of nothing is int
-            q = np.zeros((b, n))
-        else:
-            keys = (np.arange(b) * n)[:, None] + taxonomy.parent[r + 1]
-            q = np.bincount(keys.ravel(), weights=dists[r + 1].ravel(),
-                            minlength=b * n).reshape(b, n)
+        q = (np.zeros((b, n)) if r == N_RANKS - 1
+             else _lift_rows(dists[r + 1], taxonomy.parent[r + 1], n))
         q[deepest == r] = _smoothed(taxonomy, r, index[deepest == r, r], mode, epsilon)
         dists[r] = q
     return index, dists
@@ -295,30 +300,28 @@ def truncate_to_known(taxonomy: Taxonomy, label: TaxonomicLabel) -> TaxonomicLab
 def lift_species_probs(
     taxonomy: Taxonomy, species_probs: np.ndarray, mode: str = "sum"
 ) -> list[np.ndarray]:
-    """Derive all seven rank distributions from species probabilities.
-
-    "sum" adds each species' probability to its ancestor at every rank;
-    "argmax_path" puts all mass on the ancestors of the most probable species.
-    """
+    """The seven (B, n_classes(r)) rank distributions of species probabilities (B, n_species):
+    "sum" adds each row's probabilities into their ancestors by `_lift_rows` and keeps the
+    float64 input as the species rank; "argmax_path" puts all of a row's mass on the
+    ancestors of its first most probable species."""
     if mode not in LIFT_MODES:
         raise ConfigError(f"mode must be one of {LIFT_MODES}, got '{mode}'")
     probs = np.asarray(species_probs, dtype=np.float64)
     n_species = taxonomy.n_classes(N_RANKS - 1)
-    if probs.shape != (n_species,):
-        raise ShapeError(f"species_probs shape {probs.shape} != ({n_species},)")
+    if probs.ndim != 2 or probs.shape[1] != n_species:
+        raise ShapeError(f"species_probs shape {probs.shape} != (B, {n_species})")
     if not np.isfinite(probs).all() or (probs < 0).any():
         raise ConfigError("species_probs must be finite and non-negative")
-    if abs(float(probs.sum()) - 1.0) > 1e-6:
-        raise ConfigError(f"species_probs must sum to 1, got {probs.sum()!r}")
+    off = np.abs(probs.sum(axis=1) - 1.0) > 1e-6
+    if off.any():
+        raise ConfigError(f"species_probs rows must sum to 1, row {off.argmax()} does not")
 
     anc = taxonomy.ancestors[N_RANKS - 1]
     if mode == "sum":
-        return [np.bincount(anc[:, r], weights=probs, minlength=taxonomy.n_classes(r))
-                for r in range(N_RANKS)]
-    path = anc[int(np.argmax(probs))]
-    out: list[np.ndarray] = []
-    for r in range(N_RANKS):
-        v = np.zeros(taxonomy.n_classes(r), dtype=np.float64)
-        v[path[r]] = 1.0
-        out.append(v)
+        return [_lift_rows(probs, anc[:, r], taxonomy.n_classes(r))
+                for r in range(N_RANKS - 1)] + [probs]
+    paths = anc[probs.argmax(axis=1)]
+    out = [np.zeros((len(probs), taxonomy.n_classes(r))) for r in range(N_RANKS)]
+    for r, v in enumerate(out):
+        v[np.arange(len(probs)), paths[:, r]] = 1.0
     return out

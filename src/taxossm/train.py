@@ -471,6 +471,26 @@ def _check_pinned(ckpt: Checkpoint, use: str, pinned: dict):
         raise CompatibilityError(f"cannot {use} {ckpt.dir}: " + "; ".join(mismatches))
 
 
+def _check_progress(ckpt: Checkpoint):
+    """Refuse a manifest whose history is not epochs 1..n of {epoch, train_loss,
+    val_loss} entries, whose best_epoch is not in 0..n, or whose epoch is not n."""
+    m, path = ckpt.manifest, ckpt.dir / "manifest.json"
+    history, best, epoch = m["history"], m["best_epoch"], m["epoch"]
+    if not (isinstance(history, list) and all(
+            isinstance(h, dict) and set(h) == {"epoch", "train_loss", "val_loss"}
+            and type(h["epoch"]) is int and h["epoch"] == i + 1
+            and all(type(h[k]) in (int, float) for k in ("train_loss", "val_loss"))
+            for i, h in enumerate(history))):
+        raise ParseError("checkpoint history is not a list of {epoch, train_loss, val_loss} "
+                         "entries numbered 1..n in order", path=path)
+    if not (type(best) is int and 0 <= best <= len(history)):
+        raise ParseError(f"checkpoint best_epoch {best!r} is not in 0..{len(history)}, "
+                         f"the epochs of its history", path=path)
+    if not (type(epoch) is int and epoch == len(history)):
+        raise ParseError(f"checkpoint epoch {epoch!r} != {len(history)}, the length of its "
+                         f"history", path=path)
+
+
 def _resume(out_dir: Path, pinned: dict, state: ssm.ModelState, opt: AdamW,
             rng: np.random.Generator) -> tuple[list, int, dict | None]:
     """Load `last` into the run, once it agrees on the settings `pinned`; returns
@@ -482,6 +502,7 @@ def _resume(out_dir: Path, pinned: dict, state: ssm.ModelState, opt: AdamW,
     if not (last / "manifest.json").exists():
         return [], 0, None
     ckpt = Checkpoint(last)
+    _check_progress(ckpt)
     _check_pinned(ckpt, "resume from", pinned)
     for name, arr in ckpt.load_params("params", state.params).items():
         state.params[name].data = arr

@@ -1,17 +1,19 @@
-"""One-record reference forms of the training targets and the weighted loss.
+"""One-record reference forms of the training targets, the weighted loss and
+the species-probability lift.
 
-`batch_targets` and `weighted_cross_entropy` build a whole batch at once; these
-loops build one record at a time and serve as the oracles the batch forms must
-match bitwise.
+`batch_targets`, `weighted_cross_entropy` and `lift_species_probs` work on a
+whole batch at once; these loops handle one record at a time and serve as the
+oracles the batch forms must match bitwise.
 """
 import numpy as np
 
 from taxossm import numcore as nc
 from taxossm import ssm
+from taxossm.errors import ConfigError, ShapeError
 from taxossm.numcore import Tensor
 from taxossm.records import N_RANKS, BarcodeRecord, make_label
 from taxossm.seqdata import SynthConfig, synth_generate
-from taxossm.taxonomy import build_taxonomy
+from taxossm.taxonomy import LIFT_MODES, build_taxonomy
 
 from toydata import toy_records
 
@@ -81,6 +83,36 @@ def reference_weighted_cross_entropy(logits, refs, weights, head_mode):
         total = nc.sub(total, contrib)
     n_fully_masked = int((n_ranks_per_sample == 0).sum())
     return nc.mul(total, Tensor(np.asarray(1.0 / n, dtype=dtype))), n_fully_masked
+
+
+def reference_lift_species_probs(taxonomy, species_probs, mode="sum"):
+    """Derive all seven rank distributions from one record's species probabilities.
+
+    "sum" adds each species' probability to its ancestor at every rank;
+    "argmax_path" puts all mass on the ancestors of the most probable species.
+    """
+    if mode not in LIFT_MODES:
+        raise ConfigError(f"mode must be one of {LIFT_MODES}, got '{mode}'")
+    probs = np.asarray(species_probs, dtype=np.float64)
+    n_species = taxonomy.n_classes(N_RANKS - 1)
+    if probs.shape != (n_species,):
+        raise ShapeError(f"species_probs shape {probs.shape} != ({n_species},)")
+    if not np.isfinite(probs).all() or (probs < 0).any():
+        raise ConfigError("species_probs must be finite and non-negative")
+    if abs(float(probs.sum()) - 1.0) > 1e-6:
+        raise ConfigError(f"species_probs must sum to 1, got {probs.sum()!r}")
+
+    anc = taxonomy.ancestors[N_RANKS - 1]
+    if mode == "sum":
+        return [np.bincount(anc[:, r], weights=probs, minlength=taxonomy.n_classes(r))
+                for r in range(N_RANKS)]
+    path = anc[int(np.argmax(probs))]
+    out: list[np.ndarray] = []
+    for r in range(N_RANKS):
+        v = np.zeros(taxonomy.n_classes(r), dtype=np.float64)
+        v[path[r]] = 1.0
+        out.append(v)
+    return out
 
 
 def _taxonomy_of(labels):

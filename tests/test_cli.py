@@ -74,6 +74,20 @@ def test_cli_error_is_single_machine_parseable_line(tmp_path, capsys):
     assert "input_fasta" in payload["message"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["ttest", "--out", "OUT", "--resume"], "--resume does not apply to ttest"),
+    (["train", "--out", "OUT"], "argument command: invalid choice: 'train'"),
+    (["pretrain", "--resume"], "the following arguments are required: --out"),
+], ids=["resume_outside_training", "unknown_command", "missing_out"])
+def test_usage_errors_exit_2_before_anything_runs(tmp_path, capsys, args, message):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_:
+        run([out if a == "OUT" else a for a in args])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_besthit_with_empty_reference_fasta_names_the_error(tmp_path, capsys):
     train_fa = tmp_path / "train.fasta"
     train_fa.write_text("")

@@ -19,7 +19,9 @@ from taxossm.evaluation import (
     time_inference,
 )
 from taxossm.records import BarcodeRecord, N_RANKS, make_label
-from taxossm.taxonomy import LIFT_MODES, build_taxonomy, lift_species_probs
+from taxossm.taxonomy import LIFT_MODES, build_taxonomy
+
+from target_oracle import reference_lift_species_probs
 
 
 def labelled_records(names_per_record):
@@ -556,6 +558,61 @@ def test_single_head_predictions_are_the_lifted_species_softmax(rng, lift_mode, 
     assert preds.shape == confs.shape == (len(records), N_RANKS)
     assert len(set(preds[:, -1])) > 1
     for i, probs in enumerate(_species_probs(state, vocab, records, batch_size)):
-        lifted = lift_species_probs(taxonomy, probs, mode=lift_mode)
+        lifted = reference_lift_species_probs(taxonomy, probs, mode=lift_mode)
         assert np.array_equal(preds[i], [p.argmax() for p in lifted])
         assert np.array_equal(confs[i], [p.max() for p in lifted])
+
+
+# ---------------------------------------------------------------------------
+# the paper's scale: 10^4 species
+
+
+def test_ten_thousand_species_train_predict_and_evaluate_without_dense_class_arrays():
+    # A dense species x genus float64 matrix alone takes 10^4 * 2,500 * 8 B = 191 MiB;
+    # either bound below fails if a step or the lift builds one.
+    import time
+    import tracemalloc
+    from taxossm import numcore as nc, ssm
+    from taxossm.taxonomy import class_weights, smooth_target
+    from taxossm.tokenizers import char_vocab, encode
+    from taxossm.train import AdamW, pad_batch, weighted_cross_entropy
+    from toydata import wide_records
+
+    t0 = time.perf_counter()
+    records = wide_records()
+    taxonomy = build_taxonomy(records)
+    weights = class_weights(taxonomy)
+    vocab = char_vocab()
+    picked = [records[i] for i in np.random.default_rng(0).choice(len(records), 64, replace=False)]
+    ids, mask = pad_batch([encode(vocab, r.sequence, 16).ids for r in picked[:32]])
+    targets = [smooth_target(taxonomy, r.label, "hierarchical", 0.1) for r in picked[:32]]
+    for head_mode in ("multi", "single"):
+        state = ssm.init_model(ssm.ModelConfig(vocab_size=len(vocab), d_model=8, n_blocks=1,
+                                               head_dim=4, d_state=4, max_len=16,
+                                               head_mode=head_mode), seed=0)
+        ssm.add_classification_heads(state, taxonomy.class_counts(), seed=1)
+        opt = AdamW(state.params, 1e-3, weight_decay=0.1, no_decay=state.norm_param_names)
+        tracemalloc.start()
+        try:  # one fine-tune step: weighted, hierarchically smoothed targets
+            logits = ssm.classify(state, ssm.model_forward(state, ids, mask), mask)
+            loss, _ = weighted_cross_entropy(logits, targets, weights, head_mode)
+            nc.backward(loss)
+            opt.step()
+            _, step_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(float(loss.data))
+        assert step_peak < 128 * 2**20, (head_mode, step_peak)
+        for lift_mode in LIFT_MODES:
+            tracemalloc.start()
+            try:  # the head softmaxes (multi) or the batch lift of the species softmax
+                preds, confs = predict_dataset(state, vocab, taxonomy, picked, batch_size=32,
+                                               lift_mode=lift_mode)
+                _, predict_peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert predict_peak < 48 * 2**20, (head_mode, lift_mode, predict_peak)
+            assert preds.shape == confs.shape == (64, N_RANKS)
+            report = evaluate(preds, [r.label for r in picked], taxonomy)
+            assert [m.support for m in report.per_rank] == [64] * N_RANKS
+    assert time.perf_counter() - t0 < 10.0

@@ -19,8 +19,13 @@ from taxossm.taxonomy import (
     truncate_to_known,
 )
 
-from target_oracle import oracle_cases, reference_target, two_kingdom_case
-from toydata import toy_records
+from target_oracle import (
+    oracle_cases,
+    reference_lift_species_probs,
+    reference_target,
+    two_kingdom_case,
+)
+from toydata import toy_records, wide_records
 
 
 def walk_ancestor(taxo, rank, index, target_rank):
@@ -395,30 +400,30 @@ def test_lift_consistency_on_random_taxonomies():
 def test_lift_one_hot_gives_ancestor_path(toy_taxonomy):
     probs = np.array([0.0, 1.0, 0.0])  # species B
     for mode in ("sum", "argmax_path"):
-        lifted = lift_species_probs(toy_taxonomy, probs, mode)
-        assert np.array_equal(lifted[5], [1.0, 0.0])  # genus g1
-        assert np.array_equal(lifted[6], probs)
-        assert np.array_equal(lifted[0], [1.0])
+        lifted = lift_species_probs(toy_taxonomy, probs[None], mode)
+        assert np.array_equal(lifted[5], [[1.0, 0.0]])  # genus g1
+        assert np.array_equal(lifted[6], probs[None])
+        assert np.array_equal(lifted[0], [[1.0]])
 
 
 def test_lift_uniform_prob_sum(toy_taxonomy):
-    lifted = lift_species_probs(toy_taxonomy, np.full(3, 1 / 3), "sum")
+    lifted = lift_species_probs(toy_taxonomy, np.full(3, 1 / 3)[None], "sum")
     assert np.abs(lifted[5] - np.array([2 / 3, 1 / 3])).max() < 1e-12
 
 
 def test_lift_modes_can_disagree(toy_taxonomy):
     probs = np.array([0.4, 0.35, 0.25])
-    by_sum = lift_species_probs(toy_taxonomy, probs, "sum")
+    by_sum = lift_species_probs(toy_taxonomy, probs[None], "sum")
     assert np.abs(by_sum[5] - np.array([0.75, 0.25])).max() < 1e-12
-    by_path = lift_species_probs(toy_taxonomy, probs, "argmax_path")
-    assert np.array_equal(by_path[5], [1.0, 0.0])
+    by_path = lift_species_probs(toy_taxonomy, probs[None], "argmax_path")
+    assert np.array_equal(by_path[5], [[1.0, 0.0]])
 
 
 def test_lift_preserves_mass(toy_taxonomy, rng):
     for _ in range(20):
         p = rng.random(3)
         p /= p.sum()
-        for vec in lift_species_probs(toy_taxonomy, p, "sum"):
+        for vec in lift_species_probs(toy_taxonomy, p[None], "sum"):
             assert abs(vec.sum() - 1.0) < 1e-12
 
 
@@ -428,7 +433,7 @@ def test_lift_argmax_path_is_consistent():
     for _ in range(20):
         p = rng.random(n)
         p /= p.sum()
-        lifted = lift_species_probs(taxo, p, "argmax_path")
+        lifted = lift_species_probs(taxo, p[None], "argmax_path")
         idxs = [int(v.argmax()) for v in lifted]
         for r in range(1, N_RANKS):
             assert int(taxo.parent[r][idxs[r]]) == idxs[r - 1]
@@ -436,32 +441,42 @@ def test_lift_argmax_path_is_consistent():
 
 def test_lift_rejects_bad_inputs(toy_taxonomy):
     with pytest.raises(ShapeError):
-        lift_species_probs(toy_taxonomy, np.array([0.5, 0.5]), "sum")
+        lift_species_probs(toy_taxonomy, np.array([0.5, 0.5])[None], "sum")
     with pytest.raises(ConfigError):
-        lift_species_probs(toy_taxonomy, np.array([0.5, 0.5, 0.0]) * 1.5, "sum")
+        lift_species_probs(toy_taxonomy, (np.array([0.5, 0.5, 0.0]) * 1.5)[None], "sum")
     for bad in ([np.nan, 0.5, 0.5], [1.5, -0.5, 0.0], [np.inf, 0.5, 0.5]):
         for mode in ("sum", "argmax_path"):
             with pytest.raises(ConfigError):
-                lift_species_probs(toy_taxonomy, np.array(bad), mode)
+                lift_species_probs(toy_taxonomy, np.array(bad)[None], mode)
 
 
-def _wide_records(n_species=10_000):
-    """One record per species: four species to a genus, ten genera to a family,
-    five families to an order, five orders to a class, two classes to a phylum."""
-    records = []
-    for s in range(n_species):
-        g = s // 4
-        f = g // 10
-        o = f // 5
-        c = o // 5
-        records.append(BarcodeRecord(f"r{s}", "ACGT", make_label(
-            "k", f"p{c // 2}", f"c{c}", f"o{o}", f"f{f}", f"g{g}", f"s{s}")))
-    return records
+@pytest.mark.parametrize("mode", LIFT_MODES)
+def test_batch_lift_matches_the_per_record_oracle_bitwise(mode):
+    cases = [taxo for taxo, _ in oracle_cases() if taxo.n_classes(N_RANKS - 1)]
+    for case, taxo in enumerate(cases):
+        rng = np.random.default_rng(case)
+        n = taxo.n_classes(N_RANKS - 1)
+        for b in (1, 2, 9):
+            p = rng.random((b, n))
+            p[-1] = 1.0  # an all-tied row
+            p[0, [0, n - 1]] = 2.0  # a row tied between its first and last species
+            p /= p.sum(axis=1, keepdims=True)
+            lifted = lift_species_probs(taxo, p, mode)
+            assert [v.shape for v in lifted] == [(b, taxo.n_classes(r)) for r in range(N_RANKS)]
+            for i in range(b):
+                want = reference_lift_species_probs(taxo, p[i], mode)
+                for r in range(N_RANKS):
+                    assert lifted[r][i].tobytes() == want[r].tobytes(), (case, b, i, r)
+        with pytest.raises(ShapeError):
+            lift_species_probs(taxo, np.full(n, 1.0 / n), mode)
+        for bad_row in (np.full(n, 2.0 / n), np.full(n, np.nan)):
+            with pytest.raises(ConfigError):
+                lift_species_probs(taxo, np.stack([np.full(n, 1.0 / n), bad_row]), mode)
 
 
 def test_wide_taxonomy_builds_no_species_by_class_array():
     # a dense species x genus float64 matrix alone would take 10^4 * 2,500 * 8 B = 191 MiB
-    records = _wide_records()
+    records = wide_records()
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
@@ -472,7 +487,7 @@ def test_wide_taxonomy_builds_no_species_by_class_array():
         p = rng.random(taxo.n_classes(6))
         p /= p.sum()
         for mode in LIFT_MODES:
-            assert all(abs(v.sum() - 1.0) < 1e-9 for v in lift_species_probs(taxo, p, mode))
+            assert all(abs(v.sum() - 1.0) < 1e-9 for v in lift_species_probs(taxo, p[None], mode))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -486,7 +501,7 @@ def test_wide_taxonomy_builds_no_species_by_class_array():
 def test_wide_targets_hold_class_indices_not_dense_vectors():
     # dense float64 vectors at every rank took 12,816 values (100 KiB) per
     # record: 990 MiB for these 10^4 targets
-    records = _wide_records()
+    records = wide_records()
     taxo = build_taxonomy(records)
     tracemalloc.start()
     try:

@@ -436,6 +436,26 @@ def test_resume_mid_plateau_stops_where_the_uninterrupted_run_stops(tmp_path):
                                       tmp_path / "resumed" / "last")
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda m: m.update(best_epoch=9), "best_epoch 9 is not in 0..3"),
+    (lambda m: m["history"][1].pop("val_loss"), "history is not a list of"),
+    (lambda m: m.update(epoch=2), "epoch 2 != 3"),
+], ids=["best_epoch_past_history", "entry_without_val_loss", "epoch_not_history_length"])
+def test_resume_refuses_a_manifest_whose_progress_does_not_add_up(tmp_path, edit, named):
+    train_recs, val_recs, _ = _synth_split()
+    vocab = char_vocab()
+    cfg = TrainConfig(stage="pretrain", max_epochs=3, batch_size=16, seed=0, patience=10)
+    pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, tmp_path)
+    path = tmp_path / "last" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ParseError) as err:
+        pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), replace(cfg, max_epochs=4),
+                 tmp_path, resume=True)
+    assert str(err.value).startswith(f"{path}: checkpoint {named}")
+
+
 def test_pretrain_resumes_from_last_old_after_crash_between_renames(tmp_path):
     train_recs, val_recs, _ = _synth_split()
     vocab = bpe_train([r.sequence for r in train_recs], 12)
