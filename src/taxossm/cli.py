@@ -239,18 +239,16 @@ def _load_model_bundle(cfg):
 
 
 def cmd_evaluate(cfg, out: Path):
+    """Per-rank metrics of one prediction pass over the test set; `ms_per_sample`
+    is that pass's forward timing, null when the test set fits in one batch."""
     state, vocab, taxonomy = _load_model_bundle(cfg)
     test_recs = seqdata.parse_fasta(_require_path(cfg, "test_fasta"))
-    preds, _ = evaluation.predict_dataset(
+    preds, _, timing = evaluation.predict_dataset(
         state, vocab, taxonomy, test_recs,
         batch_size=cfg["eval"]["batch_size"], lift_mode=cfg["eval"]["lift_mode"],
     )
     report = evaluation.evaluate(preds, [r.label for r in test_recs], taxonomy)
-    timing = None
-    if len(test_recs) > cfg["eval"]["batch_size"]:
-        timing = evaluation.time_inference(
-            state, vocab, test_recs, batch_size=cfg["eval"]["batch_size"])
-        report.ms_per_sample = timing.ms_per_sample
+    report.ms_per_sample = None if timing is None else timing.ms_per_sample
     with open(out / "metrics.json", "w", encoding="ascii") as fh:
         fh.write(report.to_json() + "\n")
     with open(out / "metrics.tsv", "w", encoding="ascii") as fh:
@@ -275,7 +273,7 @@ def _write_predictions_tsv(path, records, preds, confs, taxonomy):
 def cmd_predict(cfg, out: Path):
     state, vocab, taxonomy = _load_model_bundle(cfg)
     records = seqdata.parse_fasta(_require_path(cfg, "input_fasta"))
-    preds, confs = evaluation.predict_dataset(
+    preds, confs, _ = evaluation.predict_dataset(
         state, vocab, taxonomy, records,
         batch_size=cfg["eval"]["batch_size"], lift_mode=cfg["eval"]["lift_mode"],
     )

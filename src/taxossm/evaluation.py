@@ -1,5 +1,5 @@
 """Per-rank metrics with unseen-class filtering, paired t-tests, a k-mer best-hit
-baseline classifier, and inference: one prediction path for both head modes, timing."""
+baseline classifier, and inference: one timed prediction pass for both head modes."""
 from __future__ import annotations
 
 import json
@@ -350,6 +350,13 @@ def besthit_similarity(index: BestHitIndex, sequence: str) -> tuple[int, float]:
 # model inference
 
 
+@dataclass
+class TimingResult:
+    ms_per_sample: float
+    samples_timed: int
+    batches_timed: int
+
+
 def predict_dataset(
     state: ssm.ModelState,
     vocab: Vocab,
@@ -357,12 +364,15 @@ def predict_dataset(
     records: list[BarcodeRecord],
     batch_size: int = 32,
     lift_mode: str = "sum",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-rank predicted class indices and confidences, shape (N, 7) each.
+) -> tuple[np.ndarray, np.ndarray, TimingResult | None]:
+    """Per-rank predicted class indices and confidences, shape (N, 7) each, and
+    the wall-clock cost per sample of the `ssm.model_forward` calls of this pass.
 
     Each batch yields one probability array per rank, a multi-head model's head
     softmaxes or the `lift_mode` lift of a single-head model's species softmax
     (renormalised in f64); a record's prediction is its row's argmax, its confidence the max.
+    Only the forward is timed, and the first (warm-up) batch is left out, so the
+    timing is None when there is a single batch.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -372,11 +382,17 @@ def predict_dataset(
     preds = np.zeros((n, N_RANKS), dtype=np.int64)
     confs = np.zeros((n, N_RANKS), dtype=np.float64)
     tokens = [encode(vocab, r.sequence, state.config.max_len).ids for r in records]
+    starts = range(0, n, batch_size)
+    elapsed = 0.0
     with nc.no_grad():
-        for start in range(0, n, batch_size):
+        for start in starts:
             chunk = tokens[start:start + batch_size]
             ids, mask = pad_batch(chunk)
-            logits = ssm.classify(state, ssm.model_forward(state, ids, mask), mask)
+            t0 = time.perf_counter()
+            hidden = ssm.model_forward(state, ids, mask)
+            if start > 0:
+                elapsed += time.perf_counter() - t0
+            logits = ssm.classify(state, hidden, mask)
             if state.config.head_mode == "multi":  # lazily: one head's softmax at a time
                 per_rank = (nc.softmax(logit, axis=-1).data for logit in logits)
             else:
@@ -386,38 +402,6 @@ def predict_dataset(
             for r, probs in enumerate(per_rank):
                 preds[start:start + len(chunk), r] = probs.argmax(axis=-1)
                 confs[start:start + len(chunk), r] = probs.max(axis=-1)
-    return preds, confs
-
-
-@dataclass
-class TimingResult:
-    ms_per_sample: float
-    samples_timed: int
-    batches_timed: int
-
-
-def time_inference(
-    state: ssm.ModelState,
-    vocab: Vocab,
-    records: list[BarcodeRecord],
-    batch_size: int,
-) -> TimingResult:
-    """Wall-clock per-sample forward cost; the first (warm-up) batch is excluded."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    tokens = [encode(vocab, r.sequence, state.config.max_len).ids for r in records]
-    batches = [tokens[s:s + batch_size] for s in range(0, len(tokens), batch_size)]
-    if len(batches) < 2:
-        raise ConfigError("need at least two batches so a warm-up batch can be excluded")
-    timed_samples = 0
-    elapsed = 0.0
-    with nc.no_grad():
-        for i, chunk in enumerate(batches):
-            ids, mask = pad_batch(chunk)
-            t0 = time.perf_counter()
-            ssm.model_forward(state, ids, mask)
-            dt = time.perf_counter() - t0
-            if i > 0:
-                elapsed += dt
-                timed_samples += len(chunk)
-    return TimingResult(1000.0 * elapsed / timed_samples, timed_samples, len(batches) - 1)
+    timed = n - min(n, batch_size)
+    timing = TimingResult(1000.0 * elapsed / timed, timed, len(starts) - 1) if timed else None
+    return preds, confs, timing

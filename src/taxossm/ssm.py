@@ -47,7 +47,10 @@ BACKBONE_FIELDS = ("vocab_size", "d_model", "n_blocks", "head_dim", "expand", "d
 
 
 def head_ranks(head_mode: str) -> tuple[int, ...]:
-    """Ranks with a classification head: all seven (multi) or species only (single)."""
+    """Ranks with a classification head: all seven (multi) or species only (single).
+    Any other mode is a ConfigError."""
+    if head_mode not in HEAD_MODES:
+        raise ConfigError(f"head_mode must be one of {HEAD_MODES}, got '{head_mode}'")
     return tuple(range(N_RANKS)) if head_mode == "multi" else (N_RANKS - 1,)
 
 
@@ -72,8 +75,7 @@ class ModelConfig:
                 f"expand*d_model = {self.expand * self.d_model} "
                 f"not divisible by head_dim = {self.head_dim}"
             )
-        if self.head_mode not in HEAD_MODES:
-            raise ConfigError(f"head_mode must be one of {HEAD_MODES}, got '{self.head_mode}'")
+        head_ranks(self.head_mode)  # raises ConfigError for an unknown mode
 
     @property
     def d_inner(self) -> int:
@@ -414,19 +416,17 @@ def lm_logits(state: ModelState, hidden: Tensor) -> Tensor:
 def classify(state: ModelState, hidden: Tensor, pad_mask: np.ndarray) -> list[Tensor]:
     """Mean-pool non-PAD hidden states and apply the classification heads.
 
-    Returns seven logit tensors in rank order (multi) or a single species
-    tensor (single).
+    `hidden` must be zero at PAD, as `model_forward` leaves it: the pool sums
+    every position and divides by each row's count of non-PAD ones. Returns
+    seven logit tensors in rank order (multi) or a single species tensor (single).
     """
     if state.class_counts is None:
         raise ContractError("model has no classification heads")
-    mask = np.asarray(pad_mask, dtype=hidden.data.dtype)
-    counts = mask.sum(axis=1)
+    counts = np.asarray(pad_mask, dtype=hidden.data.dtype).sum(axis=1)
     if np.any(counts == 0):
         raise ContractError("a sample in the batch has no non-PAD positions")
-    pooled = nc.mul(
-        nc.tsum(nc.mul(hidden, Tensor(mask[:, :, None])), axis=1),
-        Tensor((1.0 / counts)[:, None].astype(hidden.data.dtype)),
-    )
+    pooled = nc.mul(nc.tsum(hidden, axis=1),
+                    Tensor((1.0 / counts)[:, None].astype(hidden.data.dtype)))
     return [
         nc.add(nc.matmul(pooled, state.params[f"heads.{r}.w"]), state.params[f"heads.{r}.b"])
         for r in head_ranks(state.config.head_mode)

@@ -90,6 +90,7 @@ class TrainConfig:
                               f"got '{self.smoothing_mode}'")
         if not 0.0 <= self.epsilon < 1.0:
             raise ConfigError(f"epsilon must be in [0,1), got {self.epsilon}")
+        ssm.head_ranks(self.head_mode)  # raises ConfigError for an unknown mode
 
 
 class AdamW:
@@ -224,7 +225,9 @@ def _key_set_errors(what: str, keys, expected: set) -> list[str]:
 class Checkpoint:
     """A checkpoint directory: manifest.json, vocab.txt, taxonomy.json once the
     model has heads (`class_counts` is not null), and the blob tensors.bin, whose
-    tensors the manifest indexes per group by dtype, shape, byte offset and crc32."""
+    tensors the manifest indexes per group by dtype, shape, byte offset and crc32.
+    Every load (`load_model`, a fine-tune's backbone, a resume's four groups)
+    reads the blob once, through `load_params`."""
 
     def __init__(self, directory):
         self.dir = Path(directory)
@@ -272,12 +275,12 @@ class Checkpoint:
             raise ParseError(f"checkpoint model_config: {exc}",
                              path=self.dir / "manifest.json") from None
 
-    def load_arrays(self, group: str) -> dict[str, np.ndarray]:
-        """The tensors of `group`. The blob is read in one read and every tensor
-        in it is checked, whichever group it belongs to: the tensors lie back to
-        back, so each one's bytes run to the next one's offset and the last one's
-        to the end of the blob, and `load_tensor` checks that byte count against
-        the shape and then the crc32."""
+    def load_arrays(self, *groups: str) -> dict[str, dict[str, np.ndarray]]:
+        """The tensors of each of `groups`, from one read of the blob in which
+        every tensor is checked, whichever group it belongs to: the tensors lie
+        back to back, so each one's bytes run to the next one's offset and the
+        last one's to the end of the blob, and `load_tensor` checks that byte
+        count against the shape and then the crc32."""
         path = self._file(_BLOB, "tensor blob")
         blob = memoryview(path.read_bytes())
         index = self.manifest["tensors"]
@@ -287,38 +290,43 @@ class Checkpoint:
         except (AttributeError, KeyError, TypeError) as exc:
             raise ParseError(f"malformed tensor index ({exc!r})",
                              path=self.dir / "manifest.json") from None
-        if group not in index:
-            raise ParseError(f"tensor index has no group '{group}'",
-                             path=self.dir / "manifest.json")
+        for group in groups:
+            if group not in index:
+                raise ParseError(f"tensor index has no group '{group}'",
+                                 path=self.dir / "manifest.json")
         if layout and layout[0][0] != 0:
             raise ParseError(f"the first tensor starts at byte {layout[0][0]}, not 0", path=path)
         ends = [offset for offset, _, _ in layout[1:]] + [len(blob)]
-        out = {}
+        out = {group: {} for group in groups}
         for (offset, g, name), end in zip(layout, ends):
             arr = nc.load_tensor(blob[offset:end], index[g][name], path, f"{g}/{name}")
-            if g == group:
-                out[name] = arr
+            if g in out:
+                out[g][name] = arr
         return out
 
-    def load_params(self, group: str, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-        """The tensors of `group`, once they have the names and shapes of `params`,
-        the model parameters they are for."""
-        arrays = self.load_arrays(group)
-        for name in sorted(params.keys() | arrays.keys()):
-            want = params[name].data.shape if name in params else "no such parameter"
-            got = arrays[name].shape if name in arrays else "no such tensor"
-            if want != got:
-                raise ParseError(f"tensor {group}/{name}: checkpoint has {got}, model has "
-                                 f"{want}", path=self.dir / "manifest.json")
-        return arrays
+    def load_params(self, state: ssm.ModelState, *more: str) -> list[dict[str, np.ndarray]]:
+        """Set `state`'s parameters to the `params` group and return the groups
+        `more`, all from one read of the blob; every group must first have the
+        names and shapes of `state`'s parameters."""
+        arrays = self.load_arrays("params", *more)
+        params = state.params
+        for group, got in arrays.items():
+            for name in sorted(params.keys() | got.keys()):
+                want = params[name].data.shape if name in params else "no such parameter"
+                have = got[name].shape if name in got else "no such tensor"
+                if want != have:
+                    raise ParseError(f"tensor {group}/{name}: checkpoint has {have}, "
+                                     f"model has {want}", path=self.dir / "manifest.json")
+        for name, arr in arrays["params"].items():
+            params[name].data = arr
+        return [arrays[group] for group in more]
 
     def load_model(self) -> ssm.ModelState:
         """The model of the manifest's config and class counts, with these parameters."""
         state = ssm.init_model(self.model_config())
         if self.manifest["class_counts"] is not None:
             ssm.add_classification_heads(state, self.manifest["class_counts"])
-        for name, arr in self.load_params("params", state.params).items():
-            state.params[name].data = arr
+        self.load_params(state)
         return state
 
     def _file(self, name: str, what: str) -> Path:
@@ -504,14 +512,10 @@ def _resume(out_dir: Path, pinned: dict, state: ssm.ModelState, opt: AdamW,
     ckpt = Checkpoint(last)
     _check_progress(ckpt)
     _check_pinned(ckpt, "resume from", pinned)
-    for name, arr in ckpt.load_params("params", state.params).items():
-        state.params[name].data = arr
-    opt.m = ckpt.load_params("opt_m", state.params)
-    opt.v = ckpt.load_params("opt_v", state.params)
+    opt.m, opt.v, best = ckpt.load_params(state, "opt_m", "opt_v", "best")
     opt.t = ckpt.manifest["adam_step"]
     rng.bit_generator.state = ckpt.manifest["rng_state"]
-    return (ckpt.manifest["history"], ckpt.manifest["best_epoch"],
-            ckpt.load_params("best", state.params))
+    return ckpt.manifest["history"], ckpt.manifest["best_epoch"], best
 
 
 _M_TOP_PAD = -2  # glibc's mallopt parameter number, from <malloc.h>
@@ -683,8 +687,7 @@ def finetune(
     model_cfg = replace(model_cfg, head_mode=cfg.head_mode)
     state = ssm.init_model(model_cfg, seed=cfg.seed)
     if ckpt is not None:
-        for name, arr in ckpt.load_params("params", state.params).items():
-            state.params[name].data = arr
+        ckpt.load_params(state)
 
     if cfg.head_mode == "single" and not any(
             r.label.depth == N_RANKS for r in train_records):

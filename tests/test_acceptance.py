@@ -254,7 +254,7 @@ def test_c09_overfit_smoke(tmp_path):
                         model_cfg=mcfg)
         assert ckpt.manifest["adam_step"] <= 300
         state = ckpt.load_model()
-        preds, _ = predict_dataset(state, vocab, taxo, records, batch_size=16)
+        preds, _, _ = predict_dataset(state, vocab, taxo, records, batch_size=16)
         report = evaluate(preds, [r.label for r in records], taxo)
         elapsed = time.monotonic() - started
         assert report.per_rank[6].micro_accuracy == 1.0, (
@@ -288,7 +288,7 @@ def test_c10_pretraining_utility(tmp_path):
 
         def species_accuracy(ckpt):
             state = ckpt.load_model()
-            preds, _ = predict_dataset(state, vocab, taxo, val_lab, batch_size=32)
+            preds, _, _ = predict_dataset(state, vocab, taxo, val_lab, batch_size=32)
             rep = evaluate(preds, [r.label for r in val_lab], taxo)
             return rep.per_rank[6].micro_accuracy
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from taxossm import ssm
 from taxossm.cli import main, resolve_config
 from taxossm.errors import ConfigError
 from taxossm.records import BarcodeRecord
@@ -206,7 +207,7 @@ def test_pipeline_end_to_end(tmp_path):
     assert tt["degrees_of_freedom"] == 2
 
 
-def test_bundled_toy_config_pipeline(tmp_path):
+def test_bundled_toy_config_pipeline(tmp_path, monkeypatch):
     toy = Path(__file__).resolve().parent.parent / "configs" / "toy.json"
     work = tmp_path
     assert run(["synth", "--config", toy, "--out", work / "synth"]) == 0
@@ -219,10 +220,24 @@ def test_bundled_toy_config_pipeline(tmp_path):
                 "--set", f"paths.train_fasta={work / 'prep' / 'train.fasta'}",
                 "--set", f"paths.val_fasta={work / 'prep' / 'val.fasta'}",
                 "--set", f"paths.vocab={work / 'tok' / 'vocab.txt'}"]) == 0
+    test_fa = work / "prep" / "test.fasta"
     assert run(["evaluate", "--config", toy, "--out", work / "ev",
                 "--set", f"paths.checkpoint={work / 'ft'}",
-                "--set", f"paths.test_fasta={work / 'prep' / 'test.fasta'}"]) == 0
+                "--set", f"paths.test_fasta={test_fa}"]) == 0
     assert (work / "ev" / "metrics.tsv").exists()
+    n_test = test_fa.read_text().count(">")
+    assert n_test <= json.loads(toy.read_text())["eval"]["batch_size"]
+    # one batch: no batch after the warm-up to time
+    assert read_json(work / "ev" / "metrics.json")["ms_per_sample"] is None
+
+    forwards = []
+    model_forward = ssm.model_forward
+    monkeypatch.setattr(ssm, "model_forward", lambda *a: forwards.append(a) or model_forward(*a))
+    assert run(["evaluate", "--config", toy, "--out", work / "ev2",
+                "--set", f"paths.checkpoint={work / 'ft'}",
+                "--set", f"paths.test_fasta={test_fa}", "--set", "eval.batch_size=2"]) == 0
+    assert [len(a[1]) for a in forwards] == [2] * (n_test // 2) + [1] * (n_test % 2)
+    assert read_json(work / "ev2" / "metrics.json")["ms_per_sample"] > 0.0
 
 
 def test_rerun_is_byte_identical(tmp_path):

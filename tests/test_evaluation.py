@@ -16,7 +16,6 @@ from taxossm.evaluation import (
     evaluate,
     paired_t_test,
     predict_dataset,
-    time_inference,
 )
 from taxossm.records import BarcodeRecord, N_RANKS, make_label
 from taxossm.taxonomy import LIFT_MODES, build_taxonomy
@@ -499,21 +498,23 @@ def test_besthit_k_above_packing_limit_errors():
 # inference timing
 
 
-def test_time_inference_counts_exclude_warmup():
+def test_predict_dataset_times_all_but_the_warmup_batch():
     from taxossm import ssm
     from taxossm.tokenizers import char_vocab
     vocab = char_vocab()
+    records = labelled_records("abcdeabcde")
+    taxonomy = build_taxonomy(records)
     cfg = ssm.ModelConfig(vocab_size=len(vocab), d_model=8, n_blocks=1, head_dim=4,
                           d_state=4, max_len=16)
     state = ssm.init_model(cfg, seed=0)
-    records = [BarcodeRecord(f"r{i}", "ACGTACGT") for i in range(10)]
-    result = time_inference(state, vocab, records, batch_size=4)
+    ssm.add_classification_heads(state, taxonomy.class_counts(), seed=0)
+    preds, confs, result = predict_dataset(state, vocab, taxonomy, records, batch_size=4)
+    assert preds.shape == confs.shape == (10, N_RANKS)
     assert isinstance(result, TimingResult)
     assert result.samples_timed == 6          # 10 minus the 4 in the warm-up batch
     assert result.batches_timed == 2
     assert result.ms_per_sample > 0.0
-    with pytest.raises(ConfigError):
-        time_inference(state, vocab, records[:3], batch_size=4)
+    assert predict_dataset(state, vocab, taxonomy, records[:3], batch_size=4)[2] is None
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +554,8 @@ def test_single_head_predictions_are_the_lifted_species_softmax(rng, lift_mode, 
     ssm.add_classification_heads(state, taxonomy.class_counts(), seed=1)
     head = state.params[f"heads.{N_RANKS - 1}.w"].data
     head[...] = rng.normal(0.0, 3.0, head.shape)  # so the records' predictions differ
-    preds, confs = predict_dataset(state, vocab, taxonomy, records, batch_size=batch_size,
-                                   lift_mode=lift_mode)
+    preds, confs, _ = predict_dataset(state, vocab, taxonomy, records, batch_size=batch_size,
+                                      lift_mode=lift_mode)
     assert preds.shape == confs.shape == (len(records), N_RANKS)
     assert len(set(preds[:, -1])) > 1
     for i, probs in enumerate(_species_probs(state, vocab, records, batch_size)):
@@ -606,8 +607,8 @@ def test_ten_thousand_species_train_predict_and_evaluate_without_dense_class_arr
         for lift_mode in LIFT_MODES:
             tracemalloc.start()
             try:  # the head softmaxes (multi) or the batch lift of the species softmax
-                preds, confs = predict_dataset(state, vocab, taxonomy, picked, batch_size=32,
-                                               lift_mode=lift_mode)
+                preds, confs, _ = predict_dataset(state, vocab, taxonomy, picked,
+                                                  batch_size=32, lift_mode=lift_mode)
                 _, predict_peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

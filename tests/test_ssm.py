@@ -573,6 +573,8 @@ def test_model_config_validation():
         ModelConfig(vocab_size=0)
     with pytest.raises(ConfigError):
         ModelConfig(vocab_size=10, head_mode="triple")
+    with pytest.raises(ConfigError, match="head_mode must be one of"):
+        head_ranks("singel")
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ def test_stage_defaults_follow_training_recipe():
     for epsilon in (-0.1, 1.0):
         with pytest.raises(ConfigError, match="epsilon"):
             TrainConfig(stage="finetune", epsilon=epsilon)
+    with pytest.raises(ConfigError, match="head_mode"):
+        TrainConfig(stage="finetune", head_mode="singel")
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +411,25 @@ def test_pretrain_resume_reproduces_uninterrupted_run(tmp_path):
                                       tmp_path / "resumed" / "final")
 
 
+def test_resume_decodes_each_tensor_of_last_once(tmp_path, monkeypatch):
+    train_recs, val_recs, _ = _synth_split()
+    vocab = char_vocab()
+    cfg = TrainConfig(stage="pretrain", max_epochs=1, batch_size=16, seed=0, patience=10)
+    pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, tmp_path)
+    index = json.loads((tmp_path / "last" / "manifest.json").read_text())["tensors"]
+    decoded, load_tensor = [], nc.load_tensor
+
+    def counting(raw, entry, path, name):
+        decoded.append(name)
+        return load_tensor(raw, entry, path, name)
+
+    monkeypatch.setattr(nc, "load_tensor", counting)
+    pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), replace(cfg, max_epochs=2),
+             tmp_path, resume=True)
+    assert set(index) == {"params", "opt_m", "opt_v", "best"}
+    assert sorted(decoded) == sorted(f"{g}/{name}" for g in index for name in index[g])
+
+
 def test_resume_mid_plateau_stops_where_the_uninterrupted_run_stops(tmp_path):
     # lr=1e-30 cannot move the parameters, so epoch 1 stays the best and every
     # later epoch extends the plateau: with patience 2 the run stops at epoch 3.
@@ -605,7 +626,7 @@ def test_finetune_overfits_tiny_dataset(tmp_path):
                     model_cfg=_tiny_model(vocab))
     from taxossm.evaluation import evaluate, predict_dataset
     state = ckpt.load_model()
-    preds, _ = predict_dataset(state, vocab, taxo, train_recs, batch_size=16)
+    preds, _, _ = predict_dataset(state, vocab, taxo, train_recs, batch_size=16)
     report = evaluate(preds, [r.label for r in train_recs], taxo)
     assert report.per_rank[6].micro_accuracy == 1.0
 
@@ -655,7 +676,7 @@ def test_scratch_and_finetune_differ_only_in_backbone_at_step_zero(tmp_path):
     scratch_state = ssm.init_model(mcfg, seed=5)
     ssm.add_classification_heads(scratch_state, counts, seed=5)
     ft_state = ssm.init_model(mcfg, seed=5)
-    for name, arr in pre.load_arrays("params").items():
+    for name, arr in pre.load_arrays("params")["params"].items():
         ft_state.params[name].data = arr.copy()
     ssm.add_classification_heads(ft_state, counts, seed=5)
 
@@ -688,7 +709,7 @@ def test_checkpoint_round_trip_and_metrics_log(tmp_path):
     ckpt = pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, tmp_path / "pt")
 
     state = ckpt.load_model()
-    again = ckpt.load_arrays("params")
+    again = ckpt.load_arrays("params")["params"]
     for name, p in state.params.items():
         assert np.array_equal(p.data, again[name])
 
@@ -900,7 +921,7 @@ def test_checkpoint_params_other_than_the_model_raise_parse_error(tmp_path, edit
     pretrain(train_recs, val_recs, vocab, _tiny_model(vocab), cfg, tmp_path)
     for dest in ("last", "final"):
         ckpt = train.Checkpoint(tmp_path / dest)
-        groups = {g: ckpt.load_arrays(g) for g in ckpt.manifest["tensors"]}
+        groups = ckpt.load_arrays(*ckpt.manifest["tensors"])
         edit(groups["params"])
         train._write_checkpoint(tmp_path / dest, ckpt.manifest, groups, vocab, None)
     ft_cfg = TrainConfig(stage="finetune", max_epochs=1, batch_size=16, seed=0)
