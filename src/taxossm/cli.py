@@ -1,12 +1,13 @@
 """Batch command-line pipeline: one flat parser of a command and its options.
 
-Every subcommand reads a JSON config (all keys optional, unknown keys
-rejected), applies --set dotted-path overrides, writes a resolved-config
-snapshot next to its outputs, and exits non-zero with one machine-parseable
-error line on stderr when something is wrong. The `train`, `filter` and
-`synth` defaults are the field defaults of `TrainConfig`, `FilterConfig` and
-`SynthConfig`, which validate the values; the `eval` defaults are the keyword
-defaults of `evaluation.predict_dataset` and `evaluation.besthit_train`.
+Every subcommand merges a JSON config file, each --set dotted-path override
+and --seed into the defaults (unknown or misplaced keys rejected), writes a
+resolved-config snapshot next to its outputs, and exits non-zero with one
+machine-parseable error line on stderr when something is wrong. The `train`,
+`filter` and `synth` defaults are the field defaults of `TrainConfig`,
+`FilterConfig` and `SynthConfig`, which validate the values; the `eval`
+defaults are the keyword defaults of `evaluation.predict_dataset` and
+`evaluation.besthit_train`.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import evaluation, seqdata, ssm, train
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .records import RANKS
 from .seqdata import FilterConfig, SynthConfig
 from .taxonomy import build_taxonomy
@@ -65,59 +66,56 @@ DEFAULT_CONFIG = {
 }
 
 
-def _deep_merge(base: dict, override: dict, path: str = "") -> list[str]:
-    """Merge override into base in place; returns dotted paths of unknown keys."""
-    unknown = []
+def _merge(base: dict, override: dict, path: str = "") -> list[str]:
+    """Merge override into base in place; returns the dotted paths it cannot take:
+    a key base lacks, or an object where base holds a value, or the reverse."""
+    refused = []
     for key, value in override.items():
-        dotted = f"{path}.{key}" if path else key
-        if key not in base:
-            unknown.append(dotted)
-            continue
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            unknown.extend(_deep_merge(base[key], value, dotted))
+        if key not in base or isinstance(value, dict) != isinstance(base[key], dict):
+            refused.append(path + key)
+        elif isinstance(value, dict):
+            refused += _merge(base[key], value, f"{path}{key}.")
         else:
             base[key] = value
-    return unknown
+    return refused
 
 
-def _apply_set(config: dict, assignment: str) -> str | None:
-    """Apply one KEY=VALUE override; returns the key when it is unknown."""
-    if "=" not in assignment:
+def _read_json_object(path) -> dict:
+    """The JSON object in the file at `path`; anything else raises ParseError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"unreadable JSON ({exc})", path=path) from None
+    if not isinstance(payload, dict):
+        raise ParseError("not a JSON object", path=path)
+    return payload
+
+
+def _set_tree(assignment: str) -> dict:
+    """`a.b=v` as the override tree {"a": {"b": v}}; v is JSON, or else a string."""
+    dotted, eq, raw = assignment.partition("=")
+    if not eq:
         raise ConfigError(f"--set needs KEY=VALUE, got '{assignment}'")
-    dotted, _, raw = assignment.partition("=")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = config
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            return dotted
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        return dotted
-    node[parts[-1]] = value
-    return None
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return value
 
 
 def resolve_config(config_path: str | None, sets: list[str], seed: int | None) -> dict:
-    config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
-    unknown: list[str] = []
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            user = json.load(fh)
-        unknown.extend(_deep_merge(config, user))
-    for assignment in sets:
-        bad = _apply_set(config, assignment)
-        if bad:
-            unknown.append(bad)
-    if unknown:
-        raise ConfigError("unknown config key(s): " + ", ".join(sorted(unknown)))
+    """The defaults merged with the --config file, each --set in order, then --seed."""
+    trees = [_read_json_object(config_path)] if config_path else []
+    trees += [_set_tree(assignment) for assignment in sets]
     if seed is not None:
-        config["synth"]["seed"] = seed
-        config["split"]["seed"] = seed
-        config["train"]["seed"] = seed
+        trees.append({section: {"seed": seed} for section in ("synth", "split", "train")})
+    config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    unknown = [dotted for tree in trees for dotted in _merge(config, tree)]
+    if unknown:
+        raise ConfigError("unknown or misplaced config key(s): " + ", ".join(sorted(unknown)))
     return config
 
 
@@ -214,6 +212,9 @@ def cmd_pretrain(cfg, out: Path, resume: bool = False):
 
 def cmd_finetune(cfg, out: Path, resume: bool = False):
     tcfg = _train_config(cfg, "finetune" if cfg["paths"]["checkpoint"] else "scratch")
+    if tcfg.stage == "scratch" and cfg["paths"]["checkpoint"]:
+        raise ConfigError("train.stage=scratch trains from no checkpoint; "
+                          "unset paths.checkpoint or the stage")
     train_recs = seqdata.parse_fasta(_require_path(cfg, "train_fasta"))
     val_recs = seqdata.parse_fasta(_require_path(cfg, "val_fasta"))
     taxonomy = build_taxonomy(train_recs)
@@ -298,11 +299,12 @@ def cmd_besthit(cfg, out: Path):
 
 
 def cmd_ttest(cfg, out: Path):
-    with open(_require_path(cfg, "ttest_input"), "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or "a" not in payload or "b" not in payload:
-        raise ConfigError("ttest input must be a JSON object with arrays 'a' and 'b'")
-    result = evaluation.paired_t_test(payload["a"], payload["b"])
+    path = _require_path(cfg, "ttest_input")
+    payload = _read_json_object(path)
+    samples = [payload.get(key) for key in ("a", "b")]
+    if not all(isinstance(s, list) and all(type(x) in (int, float) for x in s) for s in samples):
+        raise ParseError("ttest input needs arrays 'a' and 'b' of numbers", path=path)
+    result = evaluation.paired_t_test(*samples)
     text = json.dumps(asdict(result), indent=2)
     with open(out / "ttest.json", "w", encoding="ascii") as fh:
         fh.write(text + "\n")

@@ -389,8 +389,12 @@ def block_forward(params: dict[str, Tensor], prefix: str, x: Tensor, cfg: ModelC
 def model_forward(state: ModelState, token_ids: np.ndarray, pad_mask: np.ndarray) -> Tensor:
     """Embed, run the block stack and the final norm. Returns (Bsz,T,d) hidden states.
 
-    `pad_mask` is 1.0 at real positions and 0.0 at PAD; padded positions are
-    re-zeroed between blocks so they cannot leak through the conv or the scan.
+    `pad_mask` is 1.0 at real positions and 0.0 at PAD, and each row must be
+    right-padded: a real position after a PAD raises ShapeError. Every op is
+    per-position or causal, so real positions never read the PAD positions
+    after them; the mask is applied once, to the output, which leaves PAD rows
+    zero for `classify`'s pool. (Zeroing between blocks would not keep PAD out
+    of a block anyway: its layer norm turns a zero row into the bias.)
     T above `config.max_len` raises ShapeError.
     """
     token_ids = np.asarray(token_ids)
@@ -400,12 +404,14 @@ def model_forward(state: ModelState, token_ids: np.ndarray, pad_mask: np.ndarray
         raise ShapeError(f"sequences of {token_ids.shape[1]} tokens exceed max_len "
                          f"{state.config.max_len}")
     dtype = state.params["embedding"].data.dtype
-    mask = Tensor(np.asarray(pad_mask, dtype=dtype)[:, :, None])
-    h = nc.mul(nc.embedding_lookup(state.params["embedding"], token_ids), mask)
+    mask = np.asarray(pad_mask, dtype=dtype)
+    if mask.shape != token_ids.shape or np.any(mask[:, 1:] > mask[:, :-1]):
+        raise ShapeError(f"pad_mask must be a right-padded {token_ids.shape} mask")
+    h = nc.embedding_lookup(state.params["embedding"], token_ids)
     for i in range(state.config.n_blocks):
-        h = nc.mul(block_forward(state.params, f"blocks.{i}.", h, state.config), mask)
+        h = block_forward(state.params, f"blocks.{i}.", h, state.config)
     h = nc.layer_norm(h, state.params["final_ln_g"], state.params["final_ln_b"])
-    return nc.mul(h, mask)
+    return nc.mul(h, Tensor(mask[:, :, None]))
 
 
 def lm_logits(state: ModelState, hidden: Tensor) -> Tensor:

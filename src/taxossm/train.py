@@ -88,8 +88,15 @@ class TrainConfig:
         if self.smoothing_mode not in SMOOTHING_MODES:
             raise ConfigError(f"smoothing_mode must be one of {SMOOTHING_MODES}, "
                               f"got '{self.smoothing_mode}'")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ConfigError(f"epsilon must be in [0,1), got {self.epsilon}")
+        for name in ("epsilon", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0,1), got {getattr(self, name)}")
+        if self.adam_eps <= 0:
+            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.wall_clock_limit is not None and self.wall_clock_limit <= 0:
+            raise ConfigError(f"wall_clock_limit must be null or > 0, got {self.wall_clock_limit}")
         ssm.head_ranks(self.head_mode)  # raises ConfigError for an unknown mode
 
 
@@ -518,8 +525,9 @@ def _resume(out_dir: Path, pinned: dict, state: ssm.ModelState, opt: AdamW,
     return ckpt.manifest["history"], ckpt.manifest["best_epoch"], best
 
 
-_M_TOP_PAD = -2  # glibc's mallopt parameter number, from <malloc.h>
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3  # glibc's mallopt parameter numbers, from <malloc.h>
 HEAP_TOP_PAD = 64 << 20  # bytes
+_MMAP_THRESHOLD = 128 << 10  # glibc's default, which stops adapting once mallopt is called
 
 
 def _keep_heap_top():
@@ -528,14 +536,30 @@ def _keep_heap_top():
     frees its temporaries; without the pad glibc hands the freed top back to the
     kernel and the next call faults the same pages in again. `cli.main` sets it
     before every subcommand and `_fit` for library callers; setting it again
-    changes nothing. Where the C library has no mallopt, this does nothing."""
+    changes nothing. Where the C library has no mallopt, this does nothing.
+
+    Setting the pad does not grow the heap, and glibc carves an array above the
+    mmap threshold from the heap top only when the top has room; otherwise it
+    maps the array afresh and faults it in on every call. So, where malloc and
+    free are there too, half the pad is allocated from the heap (the threshold
+    raised above it for that one call) and freed, which leaves at least that
+    much above the top."""
     import ctypes
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        libc = ctypes.CDLL(None)
+        mallopt = libc.mallopt
     except (AttributeError, OSError, TypeError):
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_TOP_PAD, HEAP_TOP_PAD)
+    malloc, free = getattr(libc, "malloc", None), getattr(libc, "free", None)
+    if malloc is None or free is None:
+        return
+    malloc.argtypes, malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
+    free.argtypes, free.restype = (ctypes.c_void_p,), None
+    mallopt(_M_MMAP_THRESHOLD, HEAP_TOP_PAD // 2)
+    free(malloc(HEAP_TOP_PAD // 2 - 4096))
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
 def _fit(state: ssm.ModelState, cfg: TrainConfig, out_dir, vocab: Vocab,
@@ -670,6 +694,8 @@ def finetune(
 
     if cfg.stage not in ("finetune", "scratch"):
         raise ConfigError(f"finetune called with stage '{cfg.stage}'")
+    if cfg.stage == "scratch" and init_from is not None:
+        raise ConfigError("stage=scratch trains from no checkpoint, but init_from is set")
     if not train_records or not val_records:
         raise EmptyDatasetError("finetune needs non-empty train and validation sets")
 

@@ -65,6 +65,46 @@ def test_seed_flag_overrides_all_seeds():
     assert cfg["synth"]["seed"] == cfg["split"]["seed"] == cfg["train"]["seed"] == 99
 
 
+TRAIN_DEFAULTS = resolve_config(None, [], None)["train"]
+
+
+@pytest.mark.parametrize("config_text, args, outcome", [
+    (None, ["--set", "model=3"], ("ConfigError", "misplaced config key(s): model")),
+    (None, ["--set", 'train.lr={"a":1}'], ("ConfigError", "misplaced config key(s): train.lr")),
+    (None, ["--set", "train.lr"], ("ConfigError", "--set needs KEY=VALUE, got 'train.lr'")),
+    (None, ["--set", 'train={"lr":0.5}'], {**TRAIN_DEFAULTS, "lr": 0.5}),
+    (None, ["--set", "train={}"], TRAIN_DEFAULTS),
+    ('{"train": {}}', [], TRAIN_DEFAULTS),
+    ('{"train": {"lr": 0.5', [], ("ParseError", "CONFIG: unreadable JSON")),
+    ("[1]", [], ("ParseError", "CONFIG: not a JSON object")),
+    ('{"train": {"warmup": 2}, "mystery": {}}', ["--set", "synth.typo=1"],
+     ("ConfigError", "config key(s): mystery, synth.typo, train.warmup")),
+    ('{"train": {"seed": 4}}', ["--set", "train.seed=5", "--seed", "9"],
+     {**TRAIN_DEFAULTS, "seed": 9}),
+], ids=["value_for_section", "section_for_value", "no_value", "section_merges", "empty_set",
+        "empty_file_section", "torn_file", "file_not_an_object", "unknown_keys_together",
+        "seed_wins"])
+def test_overrides_merge_into_the_defaults(tmp_path, capsys, config_text, args, outcome):
+    config = tmp_path / "config.json"
+    argv = ["synth", "--out", tmp_path / "o", "--set", "synth.samples_per_species=1"] + args
+    if config_text is not None:
+        config.write_text(config_text)
+        argv += ["--config", config]
+    code = run(argv)
+    if isinstance(outcome, dict):
+        assert code == 0
+        assert read_json(tmp_path / "o" / "resolved_config.json")["train"] == outcome
+        return
+    error, message = outcome
+    assert code == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    payload = json.loads(err_lines[0])
+    assert payload["error"] == error
+    assert message.replace("CONFIG", str(config)) in payload["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_error_is_single_machine_parseable_line(tmp_path, capsys):
     code = run(["preprocess", "--out", tmp_path / "o"])  # missing input_fasta
     assert code != 0
@@ -305,6 +345,37 @@ def test_cli_resume_matches_uninterrupted_run(tmp_path, command):
     log = (work / "resumed" / "metrics.jsonl").read_text().splitlines()
     assert [json.loads(line)["epoch"] for line in log] == [1, 1, 2, 2]
     assert log[:2] == epoch1_log
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("paths.checkpoint=ckpt",
+     "train.stage=scratch trains from no checkpoint; unset paths.checkpoint or the stage"),
+    ("train.beta1=1", "beta1 must be in [0,1), got 1"),
+    ("train.wall_clock_limit=-1", "wall_clock_limit must be null or > 0, got -1"),
+], ids=["scratch_with_checkpoint", "beta1_one", "negative_wall_clock"])
+def test_finetune_refuses_contradictory_settings_before_training(tmp_path, capsys, setting,
+                                                                 message):
+    code = run(["finetune", "--out", tmp_path / "ft", "--set", "train.stage=scratch",
+                "--set", setting])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {"error": "ConfigError",
+                                                           "message": message}
+    assert [p.name for p in (tmp_path / "ft").iterdir()] == ["resolved_config.json"]
+
+
+@pytest.mark.parametrize("payload", [b'{"a": [1, 2], "b": [0,', b'{"a": [1, "x"], "b": [0, 1]}',
+                                     b'{"a": [1, 2], "b": [0, true]}', b'{"a": [1, 2]}',
+                                     b'{"a": 1, "b": 2}', b"[1, 2]"],
+                         ids=["torn", "string_entry", "bool_entry", "missing_b", "not_arrays",
+                              "not_an_object"])
+def test_ttest_with_a_malformed_input_names_it(tmp_path, capsys, payload):
+    ttest_in = tmp_path / "ttest_in.json"
+    ttest_in.write_bytes(payload)
+    assert run(["ttest", "--out", tmp_path / "tt", "--set", f"paths.ttest_input={ttest_in}"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith(f"{ttest_in}: ")
+    assert not (tmp_path / "tt" / "ttest.json").exists()
 
 
 @pytest.mark.parametrize("manifest", [b'{"model_config": {"vocab_si', b"[1, 2]", b"{\xff}",

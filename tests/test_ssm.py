@@ -428,6 +428,14 @@ def test_model_padding_invariance(rng):
     assert np.array_equal(h_padded[:, 6:], np.zeros((1, 3, cfg.d_model)))
 
 
+@pytest.mark.parametrize("mask", [[[0, 1, 1, 1]], [[1, 0, 1, 0]], [[1, 1, 1]], [1, 1, 1, 1]],
+                         ids=["left_padded", "pad_between_real", "short", "one_dim"])
+def test_model_refuses_a_mask_that_is_not_right_padded(mask):
+    state = init_model(tiny_config(), seed=0)
+    with pytest.raises(ShapeError, match=r"pad_mask must be a right-padded \(1, 4\) mask"):
+        model_forward(state, np.array([[2, 4, 5, 3]]), np.array(mask, dtype=np.float64))
+
+
 def test_model_rejects_out_of_range_ids():
     cfg = tiny_config()
     state = init_model(cfg, seed=0)

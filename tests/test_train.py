@@ -66,6 +66,22 @@ def test_stage_defaults_follow_training_recipe():
         TrainConfig(stage="finetune", head_mode="singel")
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"beta1": 1.0}, "beta1 must be in [0,1), got 1.0"),
+    ({"beta1": -0.1}, "beta1 must be in [0,1), got -0.1"),
+    ({"beta2": 1.0}, "beta2 must be in [0,1), got 1.0"),
+    ({"adam_eps": 0.0}, "adam_eps must be > 0, got 0.0"),
+    ({"weight_decay": -0.1}, "weight_decay must be >= 0, got -0.1"),
+    ({"wall_clock_limit": 0}, "wall_clock_limit must be null or > 0, got 0"),
+    ({"wall_clock_limit": -1}, "wall_clock_limit must be null or > 0, got -1"),
+], ids=["beta1_one", "beta1_negative", "beta2_one", "adam_eps_zero", "weight_decay_negative",
+        "wall_clock_zero", "wall_clock_negative"])
+def test_train_config_refuses_out_of_range_optimizer_settings(setting, message):
+    with pytest.raises(ConfigError) as err:
+        TrainConfig(stage="pretrain", **setting)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # AdamW
 
@@ -631,11 +647,18 @@ def test_finetune_overfits_tiny_dataset(tmp_path):
     assert report.per_rank[6].micro_accuracy == 1.0
 
 
-def test_finetune_requires_checkpoint(tmp_path, toy_taxonomy):
-    recs = toy_records()
-    with pytest.raises(ConfigError):
-        finetune(recs, recs, toy_taxonomy, char_vocab(),
-                 TrainConfig(stage="finetune"), tmp_path / "ft")
+@pytest.mark.parametrize("stage, init_from, message", [
+    ("finetune", None, "stage=finetune requires a pretraining checkpoint"),
+    ("scratch", "pt", "stage=scratch trains from no checkpoint, but init_from is set"),
+], ids=["finetune_without_checkpoint", "scratch_with_checkpoint"])
+def test_finetune_refuses_a_stage_its_checkpoint_contradicts(tmp_path, toy_taxonomy, stage,
+                                                              init_from, message):
+    recs, vocab = toy_records(), char_vocab()
+    with pytest.raises(ConfigError) as err:
+        finetune(recs, recs, toy_taxonomy, vocab, TrainConfig(stage=stage), tmp_path / "ft",
+                 model_cfg=_tiny_model(vocab), init_from=init_from and tmp_path / init_from)
+    assert str(err.value) == message
+    assert not (tmp_path / "ft").exists()
 
 
 def test_finetune_single_head_needs_species_labels(tmp_path):
@@ -996,6 +1019,34 @@ def test_besthit_calls_do_not_fault_the_heap_top_back_in(tmp_path):
     done = subprocess.run([sys.executable, "-c", _BESTHIT_FAULTS, *args], env=env,
                           capture_output=True, text=True, check=True)
     assert float(done.stdout.split()[-1]) < 500  # about a seventh of the unpadded count
+
+
+_LARGE_ARRAY_FAULTS = """
+import resource
+import numpy as np
+from taxossm import train
+x = np.ones(1 << 18, dtype=np.float32)
+train._keep_heap_top()
+for run in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        y = x * 2
+        z = y + 1
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the pad is a glibc setting")
+def test_large_arrays_come_from_the_pad_right_after_it_is_set():
+    # 1 MB arrays, above the mmap threshold, in a fresh process where nothing
+    # else grows the heap after the pad is set: about 500 minor faults per
+    # iteration when each array is mapped afresh, 0 when the top holds the pad
+    src = str(Path(train.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _LARGE_ARRAY_FAULTS],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert float(done.stdout) < 50
 
 
 def test_heap_top_pad_is_a_silent_no_op_without_mallopt(monkeypatch):
