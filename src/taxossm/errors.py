@@ -1,8 +1,32 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check of every config."""
+import types
+import typing
 
 
 class ConfigError(ValueError):
     """Invalid configuration value or combination."""
+
+
+def check_field_types(config):
+    """Raise ConfigError naming the first field of the dataclass `config` whose
+    value does not fit the field's annotation. An int fits a float, a bool fits
+    neither an int nor a float, and a list of the item type fits a tuple."""
+    for name, hint in typing.get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        if not _fits(value, hint):
+            shown = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ConfigError(f"{name} must be {shown}, got {value!r}")
+
+
+def _fits(value, hint) -> bool:
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, arg) for arg in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:  # tuple[item, ...]
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (tuple, list)) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 class ParseError(ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDatasetError, ParseError
+from .errors import ConfigError, EmptyDatasetError, ParseError, check_field_types
 from .records import (
     BarcodeRecord,
     IUPAC_ALPHABET,
@@ -33,6 +33,7 @@ class FilterConfig:
     min_class_size: int = 3
 
     def __post_init__(self):
+        check_field_types(self)
         if self.length_sigma <= 0:
             raise ConfigError(f"length_sigma must be > 0, got {self.length_sigma}")
         if not 0.0 <= self.max_ambiguous_fraction <= 1.0:
@@ -91,6 +92,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if len(self.rank_fanouts) != N_RANKS:
             raise ConfigError("rank_fanouts needs exactly 7 entries")
         if any(f < 1 for f in self.rank_fanouts):

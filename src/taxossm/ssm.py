@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, check_field_types
 from .numcore import Tensor
 from .records import N_RANKS
 
@@ -67,6 +67,7 @@ class ModelConfig:
     head_mode: str = "multi"
 
     def __post_init__(self):
+        check_field_types(self)
         for name in BACKBONE_FIELDS + ("max_len",):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

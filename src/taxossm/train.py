@@ -9,7 +9,7 @@ loop (`_fit`) runs every stage with its optimizer, shuffling, early stopping,
 metrics log and checkpoints, and keeps its progress only as the history and the
 best epoch. `_check_pinned` refuses a checkpoint that differs from the run in a
 setting its use pins (see `finetune` and `_RESUME_FREE`).
-`_fit` pads glibc's heap top, so no train step re-faults pages the last one freed.
+`_fit` has glibc keep freed arrays in the heap, so no train step re-faults pages.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import json
 import os
 import shutil
 import time
-import typing
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .errors import (
     EmptyDatasetError,
     NumericDomainError,
     ParseError,
+    check_field_types,
 )
 from .numcore import Tensor
 from .records import N_RANKS
@@ -72,6 +72,7 @@ class TrainConfig:
     wall_clock_limit: float | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if self.stage not in STAGES:
             raise ConfigError(f"stage must be one of {STAGES}, got '{self.stage}'")
         lr0, epochs0 = _STAGE_DEFAULTS[self.stage]
@@ -220,7 +221,6 @@ _BLOB, _VOCAB, _TAXONOMY = "tensors.bin", "vocab.txt", "taxonomy.json"
 # what `_fit` and `_write_checkpoint` write
 _MANIFEST_KEYS = {"format_version", "model_config", "train_config", "class_counts", "epoch",
                   "history", "best_epoch", "best_val_loss", "adam_step", "rng_state", "tensors"}
-_MODEL_CONFIG_TYPES = typing.get_type_hints(ssm.ModelConfig)
 
 
 def _key_set_errors(what: str, keys, expected: set) -> list[str]:
@@ -273,10 +273,6 @@ class Checkpoint:
         """The manifest's model config; a wrong-typed or out-of-range value is a ParseError."""
         section = self.manifest["model_config"]
         try:
-            for name, value in section.items():
-                if type(value) is not _MODEL_CONFIG_TYPES[name]:
-                    raise ConfigError(f"{name} must be {_MODEL_CONFIG_TYPES[name].__name__}, "
-                                      f"got {value!r}")
             return ssm.ModelConfig(**section)
         except ConfigError as exc:
             raise ParseError(f"checkpoint model_config: {exc}",
@@ -525,41 +521,29 @@ def _resume(out_dir: Path, pinned: dict, state: ssm.ModelState, opt: AdamW,
     return ckpt.manifest["history"], ckpt.manifest["best_epoch"], best
 
 
-_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3  # glibc's mallopt parameter numbers, from <malloc.h>
-HEAP_TOP_PAD = 64 << 20  # bytes
-_MMAP_THRESHOLD = 128 << 10  # glibc's default, which stops adapting once mallopt is called
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers, from <malloc.h>
+_HEAP_KEEP = 1 << 30  # bytes; both thresholds
 
 
 def _keep_heap_top():
-    """Have glibc keep HEAP_TOP_PAD bytes above the heap top when it grows or
-    trims the heap. A train step, a best-hit index build or a preprocess pass
-    frees its temporaries; without the pad glibc hands the freed top back to the
-    kernel and the next call faults the same pages in again. `cli.main` sets it
-    before every subcommand and `_fit` for library callers; setting it again
-    changes nothing. Where the C library has no mallopt, this does nothing.
-
-    Setting the pad does not grow the heap, and glibc carves an array above the
-    mmap threshold from the heap top only when the top has room; otherwise it
-    maps the array afresh and faults it in on every call. So, where malloc and
-    free are there too, half the pad is allocated from the heap (the threshold
-    raised above it for that one call) and freed, which leaves at least that
-    much above the top."""
+    """Have glibc serve every allocation under 1 GiB from the heap, and keep up
+    to 1 GiB of freed memory at the heap top instead of returning it to the
+    kernel. A train step, a best-hit index build or a preprocess pass frees its
+    temporaries; with glibc's defaults each array above 128 KiB is mapped afresh
+    and unmapped when freed, and the freed heap top is trimmed, so the next call
+    faults the same pages in again. The price is that memory a process has freed
+    stays in it: its resident size does not fall back after its largest step.
+    `cli.main` sets both before every subcommand and `_fit` for library callers;
+    setting them again changes nothing. Where the C library has no mallopt, this
+    does nothing."""
     import ctypes
     try:
-        libc = ctypes.CDLL(None)
-        mallopt = libc.mallopt
+        mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_TOP_PAD, HEAP_TOP_PAD)
-    malloc, free = getattr(libc, "malloc", None), getattr(libc, "free", None)
-    if malloc is None or free is None:
-        return
-    malloc.argtypes, malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
-    free.argtypes, free.restype = (ctypes.c_void_p,), None
-    mallopt(_M_MMAP_THRESHOLD, HEAP_TOP_PAD // 2)
-    free(malloc(HEAP_TOP_PAD // 2 - 4096))
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_KEEP)
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_KEEP)
 
 
 def _fit(state: ssm.ModelState, cfg: TrainConfig, out_dir, vocab: Vocab,

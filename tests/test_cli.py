@@ -8,6 +8,7 @@ from taxossm.cli import main, resolve_config
 from taxossm.errors import ConfigError
 from taxossm.records import BarcodeRecord
 from taxossm.seqdata import write_fasta
+from taxossm.tokenizers import char_vocab, save_vocab
 
 
 def run(args):
@@ -363,7 +364,32 @@ def test_finetune_refuses_contradictory_settings_before_training(tmp_path, capsy
     assert [p.name for p in (tmp_path / "ft").iterdir()] == ["resolved_config.json"]
 
 
-@pytest.mark.parametrize("payload", [b'{"a": [1, 2], "b": [0,', b'{"a": [1, "x"], "b": [0, 1]}',
+@pytest.mark.parametrize("command, setting, message", [
+    ("pretrain", "train.batch_size=2.5", "batch_size must be int, got 2.5"),
+    ("pretrain", "train.weighted_loss=3", "weighted_loss must be bool, got 3"),
+    ("pretrain", "train.patience=true", "patience must be int, got True"),
+    ("pretrain", "train.beta1=x", "beta1 must be float, got 'x'"),
+    ("pretrain", 'model.d_model="64"', "d_model must be int, got '64'"),
+    ("synth", "synth.seed=x", "seed must be int, got 'x'"),
+    ("preprocess", "filter.min_class_size=2.5", "min_class_size must be int, got 2.5"),
+], ids=["float_for_int", "int_for_bool", "bool_for_int", "str_for_float", "str_for_model_int",
+        "str_for_synth_int", "float_for_filter_int"])
+def test_config_values_of_the_wrong_type_are_refused_by_name(tmp_path, capsys, command,
+                                                             setting, message):
+    fasta = tmp_path / "in.fasta"
+    write_fasta([BarcodeRecord("q", "ACGTACGTAC")], fasta)
+    save_vocab(char_vocab(), tmp_path / "vocab.txt")
+    paths = [f"paths.{key}={fasta}" for key in ("input_fasta", "train_fasta", "val_fasta")]
+    paths.append(f"paths.vocab={tmp_path / 'vocab.txt'}")
+    code = run([command, "--out", tmp_path / "o", "--set", setting]
+               + [arg for path in paths for arg in ("--set", path)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {"error": "ConfigError",
+                                                           "message": message}
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["resolved_config.json"]
+
+
+@pytest.mark.parametrize("payload", [b'{"a": [1, 2], "b": [0,',b'{"a": [1, "x"], "b": [0, 1]}',
                                      b'{"a": [1, 2], "b": [0, true]}', b'{"a": [1, 2]}',
                                      b'{"a": 1, "b": 2}', b"[1, 2]"],
                          ids=["torn", "string_entry", "bool_entry", "missing_b", "not_arrays",

@@ -962,15 +962,15 @@ def test_checkpoint_params_other_than_the_model_raise_parse_error(tmp_path, edit
 
 
 # ---------------------------------------------------------------------------
-# the heap-top pad
+# the allocator settings
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the pad is a glibc setting")
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator settings")
 def test_train_steps_do_not_fault_the_heap_top_back_in(tmp_path):
     # a second run of the same shapes needs almost no new pages. Minor faults over
     # the whole run (validation and checkpoints included) per train step, alone
-    # in a fresh process: without the pad about 6,500 for the second run; with
-    # it 0
+    # in a fresh process: without the settings about 6,500 for the second run;
+    # with them 0
     records = synth_generate(SynthConfig(
         rank_fanouts=(1, 1, 1, 1, 2, 2, 2), base_length=100, length_jitter=2,
         samples_per_species=12, seed=0))
@@ -983,7 +983,7 @@ def test_train_steps_do_not_fault_the_heap_top_back_in(tmp_path):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         pretrain(train_recs, val_recs, vocab, mcfg, cfg, tmp_path / str(run))
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults / steps < 650  # a tenth of the unpadded count
+    assert faults / steps < 650  # a tenth of the count without the settings
 
 
 _BESTHIT_FAULTS = """
@@ -1000,11 +1000,11 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the pad is a glibc setting")
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator settings")
 def test_besthit_calls_do_not_fault_the_heap_top_back_in(tmp_path):
-    # `besthit` never trains, so only cli.main sets the pad. Repeated calls in one
-    # fresh process over 384 references of about 650 letters: about 3,300 minor
-    # faults per call without the pad, about 1 with it
+    # `besthit` never trains, so only cli.main makes the settings. Repeated calls
+    # in one fresh process over 384 references of about 650 letters: about 3,300
+    # minor faults per call without the settings, about 1 with them
     records = synth_generate(SynthConfig(
         rank_fanouts=(1, 1, 2, 2, 2, 3, 4), base_length=650, length_jitter=10,
         samples_per_species=4, seed=0))
@@ -1018,38 +1018,42 @@ def test_besthit_calls_do_not_fault_the_heap_top_back_in(tmp_path):
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run([sys.executable, "-c", _BESTHIT_FAULTS, *args], env=env,
                           capture_output=True, text=True, check=True)
-    assert float(done.stdout.split()[-1]) < 500  # about a seventh of the unpadded count
+    assert float(done.stdout.split()[-1]) < 500  # about a seventh of the count without them
 
 
 _LARGE_ARRAY_FAULTS = """
-import resource
+import resource, sys
 import numpy as np
 from taxossm import train
-x = np.ones(1 << 18, dtype=np.float32)
+n_floats, reps = map(int, sys.argv[1:])
+x = np.ones(n_floats, dtype=np.float32)
 train._keep_heap_top()
 for run in range(2):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(50):
+    for _ in range(reps):
         y = x * 2
         z = y + 1
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / reps)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the pad is a glibc setting")
-def test_large_arrays_come_from_the_pad_right_after_it_is_set():
-    # 1 MB arrays, above the mmap threshold, in a fresh process where nothing
-    # else grows the heap after the pad is set: about 500 minor faults per
-    # iteration when each array is mapped afresh, 0 when the top holds the pad
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator settings")
+@pytest.mark.parametrize("n_floats, reps", [(1 << 18, 50), (12 << 20, 10)],
+                         ids=["1MiB", "48MiB"])
+def test_large_arrays_come_from_the_heap_right_after_the_settings(n_floats, reps):
+    # f32 arrays far above glibc's default mmap threshold of 128 KiB, in a fresh
+    # process where nothing else grows the heap: when each array is mapped
+    # afresh, about 500 minor faults per iteration at 1 MiB and about 700 at
+    # 48 MiB; 0 when they come from the heap and its freed top is kept
     src = str(Path(train.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _LARGE_ARRAY_FAULTS],
+    done = subprocess.run([sys.executable, "-c", _LARGE_ARRAY_FAULTS, str(n_floats), str(reps)],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
     assert float(done.stdout) < 50
 
 
-def test_heap_top_pad_is_a_silent_no_op_without_mallopt(monkeypatch):
+def test_allocator_settings_are_a_silent_no_op_without_mallopt(monkeypatch):
     calls = []
 
     def mallopt(param, value):
@@ -1059,7 +1063,8 @@ def test_heap_top_pad_is_a_silent_no_op_without_mallopt(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
     train._keep_heap_top()
     train._keep_heap_top()
-    assert calls == 2 * [(-2, 64 << 20)]  # M_TOP_PAD, 64 MiB, the same each time
+    # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, 1 GiB each, the same each time
+    assert calls == 2 * [(-3, 1 << 30), (-1, 1 << 30)]
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
     assert train._keep_heap_top() is None
     monkeypatch.undo()
