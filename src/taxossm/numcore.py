@@ -5,6 +5,13 @@ hand-written adjoint per op. Broadcasting is limited to numpy's
 trailing-dimension alignment. f32 is the training dtype; f64 exists for
 gradient checking. Tensors are immutable once produced by an op; a recorded
 graph belongs to a single thread.
+
+The graph is kept apart from the data. An op's output carries a vertex
+(`_Fn`) that holds the op's parents and its adjoint, never the output itself,
+and each adjoint closes over only the arrays and shapes it reads. A buffer
+that no adjoint reads is freed as soon as its caller drops the tensor, so a
+step's high-water mark is the forward graph. `backward` sweeps a graph once
+and frees each vertex as it goes; a second sweep raises ContractError.
 """
 from __future__ import annotations
 
@@ -36,8 +43,22 @@ class no_grad:
         return False
 
 
+class _Fn:
+    """A graph vertex: an op's parents and its adjoint, never the op's output.
+
+    A parent is the parent op's own vertex, a leaf that requires grad as the
+    leaf Tensor itself, or None for a constant. `backward` empties a vertex
+    once its adjoint has run."""
+
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents: tuple, backward):
+        self.parents = parents
+        self.backward = backward
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_needs_grad")
+    __slots__ = ("data", "requires_grad", "grad", "_fn")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -48,9 +69,20 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
-        self._parents = ()
-        self._backward = None
-        self._needs_grad = requires_grad
+        self._fn = None
+
+    @property
+    def _needs_grad(self) -> bool:
+        return self.requires_grad or self._fn is not None
+
+    @property
+    def _backward(self):
+        """The adjoint on this tensor's vertex (None for a leaf or under no_grad)."""
+        return None if self._fn is None else self._fn.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._fn.backward = fn
 
     @property
     def shape(self):
@@ -67,19 +99,22 @@ class Tensor:
         return index(self, key)
 
 
+def _graph_node(t: Tensor):
+    """What a vertex links to for `t`: its own vertex, the leaf itself when it
+    requires grad, or None for a constant."""
+    if t._fn is not None:
+        return t._fn
+    return t if t.requires_grad else None
+
+
 def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = False
     out.grad = None
+    out._fn = None
     if _grad_enabled and any(p._needs_grad for p in parents):
-        out._parents = parents
-        out._backward = backward
-        out._needs_grad = True
-    else:
-        out._parents = ()
-        out._backward = None
-        out._needs_grad = False
+        out._fn = _Fn(tuple(_graph_node(p) for p in parents), backward)
     return out
 
 
@@ -110,37 +145,55 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _inputs(node):
+    """The parents a sweep walks from `node`: none for a leaf."""
+    if isinstance(node, Tensor):
+        return iter(())
+    if node.backward is None:
+        raise ContractError("this graph was already swept by an earlier backward")
+    return iter(node.parents)
+
+
 def backward(loss: Tensor):
-    """Reverse-mode sweep from a scalar loss; leaf .grad accumulates additively."""
+    """Reverse-mode sweep from a scalar loss; leaf .grad accumulates additively.
+
+    Each vertex is emptied once its adjoint has run, so a graph is swept once:
+    a second backward through it raises ContractError."""
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    topo: list[Tensor] = []
-    visited = {id(loss)}
-    stack: list[tuple[Tensor, object]] = [(loss, iter(loss._parents))]
+    root = _graph_node(loss)
+    if root is None:
+        return
+    topo: list = []
+    visited = {id(root)}
+    stack: list[tuple[object, object]] = [(root, _inputs(root))]
     while stack:
         node, parents = stack[-1]
         advanced = False
         for p in parents:
-            if p._needs_grad and id(p) not in visited:
+            if p is not None and id(p) not in visited:
                 visited.add(id(p))
-                stack.append((p, iter(p._parents)))
+                stack.append((p, _inputs(p)))
                 advanced = True
                 break
         if not advanced:
             topo.append(node)
             stack.pop()
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
+        if isinstance(node, Tensor):
+            if g is not None:
+                node.grad = g if node.grad is None else node.grad + g
+            continue
+        parents, bw = node.parents, node.backward
+        node.parents, node.backward = (), None
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g if node.grad is None else node.grad + g
-        if node._backward is None:
-            continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not parent._needs_grad:
+        for parent, pg in zip(parents, bw(g)):
+            if pg is None or parent is None:
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
@@ -153,33 +206,28 @@ def backward(loss: Tensor):
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes(a, b)
     _check_broadcast(a, b)
-    return _node(
-        a.data + b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
-    )
+    sa, sb = a.data.shape, b.data.shape
+    return _node(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes(a, b)
     _check_broadcast(a, b)
-    return _node(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
-    )
+    sa, sb = a.data.shape, b.data.shape
+    return _node(a.data - b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; a constant operand (a mask, a weight) gets no gradient."""
     _check_dtypes(a, b)
     _check_broadcast(a, b)
+    ad, bd, na, nb = a.data, b.data, a._needs_grad, b._needs_grad
     return _node(
-        a.data * b.data,
+        ad * bd,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.data.shape) if a._needs_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b._needs_grad else None,
+            _unbroadcast(g * bd, ad.shape) if na else None,
+            _unbroadcast(g * ad, bd.shape) if nb else None,
         ),
     )
 
@@ -189,12 +237,13 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b)
     if np.any(b.data == 0):
         raise NumericDomainError("division by zero")
+    ad, bd = a.data, b.data
     return _node(
-        a.data / b.data,
+        ad / bd,
         (a, b),
         lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+            _unbroadcast(g / bd, ad.shape),
+            _unbroadcast(-g * ad / (bd * bd), bd.shape),
         ),
     )
 
@@ -211,7 +260,8 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0):
         raise NumericDomainError("log of a non-positive value")
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
+    ad = a.data
+    return _node(np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -280,19 +330,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = x2 - (np.einsum("ij->i", x2) / d)[:, None]
     inv = (1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / d + eps))[:, None]
     xhat *= inv
-    out_data = xhat * gain.data
+    gd, sx = gain.data, x.data.shape
+    out_data = xhat * gd
     out_data += bias.data
 
     def bw(g):
         g2 = g.reshape(-1, d)
-        dx = g2 * gain.data
+        dx = g2 * gd
         m2 = (np.einsum("ij,ij->i", dx, xhat) / d)[:, None]
         dx -= (np.einsum("ij->i", dx) / d)[:, None]
         dx -= xhat * m2
         dx *= inv
-        return (dx.reshape(x.data.shape), np.einsum("ij,ij->j", g2, xhat), g2.sum(0))
+        return (dx.reshape(sx), np.einsum("ij,ij->j", g2, xhat), g2.sum(0))
 
-    return _node(out_data.reshape(x.data.shape), (x, gain, bias), bw)
+    return _node(out_data.reshape(sx), (x, gain, bias), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +358,14 @@ def matmul(a: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"matmul shapes {a.data.shape} and {w.data.shape}: "
                          "need (..., d) and a (d, k) weight")
     d, k = w.data.shape
+    ad, wd, na, nw = a.data, w.data, a._needs_grad, w._needs_grad
 
     def bw(g):  # a constant operand gets no gradient
         g2 = g.reshape(-1, k)
-        return ((g2 @ w.data.T).reshape(a.data.shape) if a._needs_grad else None,
-                a.data.reshape(-1, d).T @ g2 if w._needs_grad else None)
+        return ((g2 @ wd.T).reshape(ad.shape) if na else None,
+                ad.reshape(-1, d).T @ g2 if nw else None)
 
-    return _node(np.matmul(a.data, w.data), (a, w), bw)
+    return _node(np.matmul(ad, wd), (a, w), bw)
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -322,15 +374,16 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ShapeError(
             f"token id out of range [0,{table.data.shape[0]}): min {ids.min()}, max {ids.max()}"
         )
+    td = table.data
 
     def bw(g):  # the rows of each id summed in one reduceat over the stably sorted ids
         order = np.argsort(ids, axis=None, kind="stable")
         rows, starts = np.unique(ids.reshape(-1)[order], return_index=True)
-        dtab = np.zeros_like(table.data)
-        dtab[rows] = np.add.reduceat(g.reshape(-1, table.data.shape[1])[order], starts, axis=0)
+        dtab = np.zeros_like(td)
+        dtab[rows] = np.add.reduceat(g.reshape(-1, td.shape[1])[order], starts, axis=0)
         return (dtab,)
 
-    return _node(table.data[ids], (table,), bw)
+    return _node(td[ids], (table,), bw)
 
 
 def causal_depthwise_conv(x: Tensor, kernel: Tensor) -> Tensor:
@@ -342,29 +395,31 @@ def causal_depthwise_conv(x: Tensor, kernel: Tensor) -> Tensor:
     _check_dtypes(x, kernel)
     if x.data.shape[-1] != kernel.data.shape[0]:
         raise ShapeError(f"conv channels {x.data.shape} vs kernel {kernel.data.shape}")
-    C, K = kernel.data.shape
-    xs = x.data.reshape(-1, x.data.shape[-2], C)
+    kd, sx = kernel.data, x.data.shape
+    C, K = kd.shape
+    xs = x.data.reshape(-1, sx[-2], C)
     T = xs.shape[1]
     # tap K-1-s reads the input s positions back; a tap reaching before t = 0 adds nothing
-    out_data = xs * kernel.data[:, K - 1]
+    out_data = xs * kd[:, K - 1]
     for s in range(1, min(K, T)):
-        out_data[:, s:] += kernel.data[:, K - 1 - s] * xs[:, :T - s]
+        out_data[:, s:] += kd[:, K - 1 - s] * xs[:, :T - s]
 
     def bw(g):
         gs = g.reshape(xs.shape)
-        dx = gs * kernel.data[:, K - 1]
-        dk = np.zeros_like(kernel.data)
+        dx = gs * kd[:, K - 1]
+        dk = np.zeros_like(kd)
         dk[:, K - 1] = np.einsum("btc,btc->c", gs, xs)
         for s in range(1, min(K, T)):
-            dx[:, :T - s] += kernel.data[:, K - 1 - s] * gs[:, s:]
+            dx[:, :T - s] += kd[:, K - 1 - s] * gs[:, s:]
             dk[:, K - 1 - s] = np.einsum("btc,btc->c", gs[:, s:], xs[:, :T - s])
-        return (dx.reshape(x.data.shape), dk)
+        return (dx.reshape(sx), dk)
 
-    return _node(out_data.reshape(x.data.shape), (x, kernel), bw)
+    return _node(out_data.reshape(sx), (x, kernel), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
+    sa = a.data.shape
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(sa),))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -386,9 +441,10 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 def index(a: Tensor, key) -> Tensor:
     """Basic slicing only (ints, slices, None, Ellipsis)."""
     out_data = a.data[key]
+    sa, dt = a.data.shape, a.data.dtype
 
     def bw(g):
-        da = np.zeros_like(a.data)
+        da = np.zeros(sa, dt)
         da[key] = g
         return (da,)
 
@@ -396,18 +452,17 @@ def index(a: Tensor, key) -> Tensor:
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
-    out_data = np.broadcast_to(a.data, shape)
-    return _node(out_data, (a,), lambda g: (_unbroadcast(g, a.data.shape),))
+    sa = a.data.shape
+    return _node(np.broadcast_to(a.data, shape), (a,), lambda g: (_unbroadcast(g, sa),))
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    sa, dt = a.data.shape, a.data.dtype
 
     def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=True),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).astype(a.data.dtype, copy=True),)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, sa).astype(dt, copy=True),)
 
     return _node(out_data, (a,), bw)
 
@@ -421,7 +476,8 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def make_op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
-    """Record a custom op node; backward_fn(g) returns one gradient per parent."""
+    """Record a custom op node; backward_fn(g) returns one gradient per parent.
+    Close backward_fn over the arrays it reads, never over a Tensor."""
     return _node(data, parents, backward_fn)
 
 

@@ -267,10 +267,11 @@ def scan_op(x: Tensor, delta: Tensor, a: Tensor, B: Tensor, C: Tensor, D: Tensor
         raise ShapeError(f"B/C shapes {B.data.shape}/{C.data.shape} != {(Bsz, T, N)}")
     if a.data.shape != (H,) or D.data.shape != (H,):
         raise ShapeError(f"a/D shapes {a.data.shape}/{D.data.shape} != {(H,)}")
-    y, S = _ssd_forward(x.data, delta.data, a.data, B.data, C.data, D.data, _chunk)
+    inputs = (x.data, delta.data, a.data, B.data, C.data, D.data)
+    y, S = _ssd_forward(*inputs, _chunk)
 
     def bw(g):
-        return _ssd_backward(g, x.data, delta.data, a.data, B.data, C.data, D.data, S, _chunk)
+        return _ssd_backward(g, *inputs, S, _chunk)
 
     return nc.make_op(y, (x, delta, a, B, C, D), bw)
 

@@ -163,9 +163,10 @@ def lm_loss(state: ssm.ModelState, ids: np.ndarray, mask: np.ndarray) -> tuple[T
     # and it is the loss's gradient there
     weight = np.where(targets != PAD, -1.0 / max(n_valid, 1), 0.0).astype(dtype)
     picked = np.take_along_axis(logp.data, targets, axis=-1)
+    shape = logp.data.shape
 
     def bw(g):
-        dlogp = np.zeros_like(logp.data)
+        dlogp = np.zeros(shape, dtype)
         np.put_along_axis(dlogp, targets, g * weight, axis=-1)
         return (dlogp,)
 

@@ -1,3 +1,4 @@
+import weakref
 import zlib
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from taxossm import numcore as nc
 from taxossm.errors import ContractError, NumericDomainError, ParseError, ShapeError
 from taxossm.numcore import Tensor
+
+from graphwalk import graph_vertices, tensors_in_closure
 
 
 def t64(arr, grad=True):
@@ -59,6 +62,35 @@ def test_backward_requires_scalar():
     x = t64([1.0, 2.0])
     with pytest.raises(ContractError):
         nc.backward(nc.mul(x, x))
+
+
+def test_a_graph_is_swept_once():
+    x = t64([1.0, 2.0])
+    y = nc.mul(x, x)
+    loss = nc.tsum(y)
+    nc.backward(loss)
+    assert np.array_equal(x.grad, [2.0, 4.0])
+    with pytest.raises(ContractError, match="already swept"):
+        nc.backward(loss)
+    # a new loss over the swept part of the graph cannot reach the leaf either
+    with pytest.raises(ContractError, match="already swept"):
+        nc.backward(nc.tsum(nc.neg(y)))
+    assert np.array_equal(x.grad, [2.0, 4.0])
+    assert y._backward is None and loss._fn.parents == ()
+
+
+def test_a_buffer_no_adjoint_reads_dies_with_its_tensor(rng):
+    # add reads only its operands' shapes, so the matmul output it consumes is
+    # freed as soon as the caller drops it, while the loss still holds the graph
+    x = t64(rng.normal(size=(4, 5)), grad=False)
+    w, bias = t64(rng.normal(size=(5, 3))), t64(rng.normal(size=3))
+    h = nc.matmul(x, w)
+    buffer = weakref.ref(h.data)
+    loss = nc.tsum(nc.silu(nc.add(h, bias)))
+    del h
+    assert buffer() is None
+    nc.backward(loss)
+    assert w.grad.shape == (5, 3) and bias.grad.shape == (3,)
 
 
 def test_gradient_accumulates_across_fanout():
@@ -321,7 +353,35 @@ def test_no_grad_suppresses_graph():
     x = t64([1.0, 2.0])
     with nc.no_grad():
         y = nc.mul(x, x)
-    assert y._parents == () and not y._needs_grad
+    assert y._fn is None and not y._needs_grad
+
+
+def test_no_op_adjoint_holds_a_tensor(rng):
+    # an adjoint closes over arrays and shapes only: a Tensor in it would keep
+    # that tensor's buffer alive until the sweep, whether the adjoint reads it or not
+    x, y = t64(rng.normal(size=(3, 4))), t64(rng.normal(size=(3, 4)))
+    positive = t64(rng.uniform(0.5, 2.0, size=(3, 4)))
+    calls = {
+        "add": (x, y), "sub": (x, y), "mul": (x, y), "div": (x, positive), "neg": (x,),
+        "exp": (x,), "log": (positive,), "sigmoid": (x,), "softplus": (x,), "silu": (x,),
+        "softmax": (x,), "log_softmax": (x,),
+        "layer_norm": (x, t64(np.ones(4)), t64(np.zeros(4))),
+        "matmul": (x, t64(rng.normal(size=(4, 2)))),
+        "embedding_lookup": (x, np.array([[0, 2], [1, 1]])),
+        "causal_depthwise_conv": (x, t64(rng.normal(size=(4, 2)))),
+        "reshape": (x, (4, 3)), "transpose": (x, (1, 0)), "concat": ([x, y],),
+        "index": (x, (slice(1, None),)), "broadcast_to": (x, (2, 3, 4)),
+        "tsum": (x, 0), "tmean": (x,),
+    }
+    ops = {name for name, f in vars(nc).items() if callable(f) and not name.startswith("_")
+           and getattr(f, "__annotations__", {}).get("return") == "Tensor"}
+    assert ops - {"make_op"} == set(calls)
+    for name, args in calls.items():
+        out = getattr(nc, name)(*args)
+        vertices = graph_vertices(out)
+        assert vertices, name
+        for v in vertices:
+            assert tensors_in_closure(v.backward) == [], name
 
 
 def test_tensor_dump_round_trip(tmp_path, rng):
